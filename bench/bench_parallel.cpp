@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   std::uint64_t explorer_base_us = 0;
   for (unsigned jobs : job_counts) {
     obs::Stopwatch watch;
-    const ModelCheckResult r = checker.run_parallel(jobs);
+    const ModelCheckResult r = checker.run_reduced(jobs);
     const std::uint64_t us = watch.elapsed_us();
     if (jobs == 1) explorer_base_us = us;
     const bool same = r.completed == seq.completed &&

@@ -22,12 +22,7 @@ namespace {
 
 /// One multi-process trial's configuration, all drawn from the trial
 /// seed (the same family spread as the certify campaign's generator).
-struct DistTrial {
-  std::string algo;
-  std::string graph_kind;
-  NodeId n = 0;
-  IdAssignment ids;
-  std::string ids_family;
+struct DistTrial : TrialShape {
   bool wrapped = false;
   FaultPlan plan;
   std::vector<std::uint8_t> torn_crash;
@@ -81,33 +76,7 @@ DistTrial generate_dist_trial(const std::vector<std::string>& algos,
                               std::uint64_t trial_seed, DistFaultMode mode) {
   Xoshiro256 rng(trial_seed);
   DistTrial cfg;
-  cfg.algo = algos[rng.below(algos.size())];
-  cfg.n = n_min + static_cast<NodeId>(rng.below(n_max - n_min + 1u));
-  cfg.graph_kind = (cfg.algo == "five" && rng.chance(0.25)) ? "path" : "cycle";
-  switch (rng.below(5)) {
-    case 0:
-      cfg.ids = random_ids(cfg.n, rng());
-      cfg.ids_family = "random";
-      break;
-    case 1:
-      cfg.ids = sorted_ids(cfg.n);
-      cfg.ids_family = "sorted";
-      break;
-    case 2:
-      cfg.ids = alternating_ids(cfg.n);
-      cfg.ids_family = "alternating";
-      break;
-    case 3: {
-      const NodeId run = 1 + static_cast<NodeId>(rng.below(cfg.n - 1));
-      cfg.ids = zigzag_ids(cfg.n, run);
-      cfg.ids_family = "zigzag(" + std::to_string(run) + ")";
-      break;
-    }
-    default:
-      cfg.ids = permutation_ids(cfg.n, rng());
-      cfg.ids_family = "perm";
-      break;
-  }
+  draw_trial_shape(algos, n_min, n_max, rng, cfg);
   cfg.plan = FaultPlan(cfg.n);
   cfg.torn_crash.assign(cfg.n, 0);
   std::ostringstream desc;

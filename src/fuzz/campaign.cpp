@@ -121,12 +121,7 @@ std::string format_fates(const std::vector<NodeFate>& fates) {
 }
 
 /// One trial's generated configuration (all drawn from the trial seed).
-struct TrialConfig {
-  std::string algo;
-  std::string graph_kind;
-  NodeId n = 0;
-  IdAssignment ids;
-  std::string ids_family;
+struct TrialConfig : TrialShape {
   CrashPlan crashes;
   std::vector<std::pair<NodeId, std::uint64_t>> crash_at_step;
   std::vector<std::pair<NodeId, std::uint64_t>> crash_after_acts;
@@ -149,35 +144,7 @@ TrialConfig generate_trial(const std::vector<std::string>& algos, NodeId n_min,
                            FaultMode fault_mode) {
   Xoshiro256 rng(trial_seed);
   TrialConfig cfg;
-  cfg.algo = algos[rng.below(algos.size())];
-  cfg.n = n_min + static_cast<NodeId>(rng.below(n_max - n_min + 1u));
-  // Algorithm 2 is the one specified for paths as well as cycles (§2.1).
-  cfg.graph_kind = (cfg.algo == "five" && rng.chance(0.25)) ? "path" : "cycle";
-
-  switch (rng.below(5)) {
-    case 0:
-      cfg.ids = random_ids(cfg.n, rng());
-      cfg.ids_family = "random";
-      break;
-    case 1:
-      cfg.ids = sorted_ids(cfg.n);
-      cfg.ids_family = "sorted";
-      break;
-    case 2:
-      cfg.ids = alternating_ids(cfg.n);
-      cfg.ids_family = "alternating";
-      break;
-    case 3: {
-      const NodeId run = 1 + static_cast<NodeId>(rng.below(cfg.n - 1));
-      cfg.ids = zigzag_ids(cfg.n, run);
-      cfg.ids_family = "zigzag(" + std::to_string(run) + ")";
-      break;
-    }
-    default:
-      cfg.ids = permutation_ids(cfg.n, rng());
-      cfg.ids_family = "perm";
-      break;
-  }
+  draw_trial_shape(algos, n_min, n_max, rng, cfg);
 
   cfg.crashes = CrashPlan(cfg.n);
   const std::uint64_t crash_count = rng.below(cfg.n / 3 + 1u);

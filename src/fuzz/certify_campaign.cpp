@@ -20,12 +20,7 @@ namespace {
 
 /// One threaded trial's configuration, all drawn from the trial seed (the
 /// same family spread as the schedule campaign's generate_trial).
-struct CertifyTrial {
-  std::string algo;
-  std::string graph_kind;
-  NodeId n = 0;
-  IdAssignment ids;
-  std::string ids_family;
+struct CertifyTrial : TrialShape {
   bool wrapped = false;
   std::vector<ThreadedFault> faults;
 };
@@ -36,33 +31,7 @@ CertifyTrial generate_certify_trial(const std::vector<std::string>& algos,
                                     bool inject_faults) {
   Xoshiro256 rng(trial_seed);
   CertifyTrial cfg;
-  cfg.algo = algos[rng.below(algos.size())];
-  cfg.n = n_min + static_cast<NodeId>(rng.below(n_max - n_min + 1u));
-  cfg.graph_kind = (cfg.algo == "five" && rng.chance(0.25)) ? "path" : "cycle";
-  switch (rng.below(5)) {
-    case 0:
-      cfg.ids = random_ids(cfg.n, rng());
-      cfg.ids_family = "random";
-      break;
-    case 1:
-      cfg.ids = sorted_ids(cfg.n);
-      cfg.ids_family = "sorted";
-      break;
-    case 2:
-      cfg.ids = alternating_ids(cfg.n);
-      cfg.ids_family = "alternating";
-      break;
-    case 3: {
-      const NodeId run = 1 + static_cast<NodeId>(rng.below(cfg.n - 1));
-      cfg.ids = zigzag_ids(cfg.n, run);
-      cfg.ids_family = "zigzag(" + std::to_string(run) + ")";
-      break;
-    }
-    default:
-      cfg.ids = permutation_ids(cfg.n, rng());
-      cfg.ids_family = "perm";
-      break;
-  }
+  draw_trial_shape(algos, n_min, n_max, rng, cfg);
   if (inject_faults && rng.chance(0.6)) {
     cfg.wrapped = rng.chance(0.5);
     const std::uint64_t count = 1 + rng.below(2);

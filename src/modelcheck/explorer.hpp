@@ -53,7 +53,6 @@
 #include "modelcheck/symmetry.hpp"
 #include "obs/runtime_metrics.hpp"
 #include "runtime/algorithm.hpp"
-#include "runtime/parallel.hpp"
 #include "runtime/worker_pool.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -91,7 +90,7 @@ enum class McFaultMode {
 /// switchable so the differential harness can test all 2³ combinations.
 struct ReductionOptions {
   /// Layer 1: intern visited keys into the tree-compressed StateStore and
-  /// key the striped visited map by 64-bit handles.
+  /// key the visited map by 64-bit handles.
   bool compress = false;
   /// Layer 2: store one canonical representative per D_n orbit
   /// (rotations/reflections of C_n applied jointly to node state and
@@ -106,8 +105,6 @@ struct ReductionOptions {
   /// (result.canonical_classes) even when `symmetry` is off — the
   /// differential harness's quotient-consistency oracle.
   bool census = false;
-
-  [[nodiscard]] bool any() const { return compress || symmetry || commute; }
 };
 
 template <Algorithm A>
@@ -161,7 +158,7 @@ struct ModelCheckResult {
   /// infinite execution.  Empty when wait_free.
   std::vector<std::uint32_t> livelock_prefix;
   std::vector<std::uint32_t> livelock_loop;
-  // ---- run_reduced() instrumentation (zero on the unreduced paths). ----
+  // ---- run_reduced() instrumentation (zero from run()). ----
   std::uint64_t store_entries = 0;  ///< word+pair entries in the StateStore
   std::uint64_t store_bytes = 0;    ///< approximate visited-set footprint
   std::uint64_t sym_hits = 0;       ///< children landing on a rotated rep
@@ -208,23 +205,11 @@ inline constexpr std::uint32_t kWitnessRecoveryFlag = 0x4000'0000u;
 
 namespace detail {
 
-/// Full-avalanche hash for 64-bit StateStore handles: handles are dense
-/// (length << 32 | small root id), so without mixing, the high bits the
-/// StripedKeyMap shards on would be the constant key length.
-struct U64Hash {
-  std::size_t operator()(std::uint64_t x) const noexcept {
-    std::uint64_t s = x ^ 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(splitmix64(s));
-  }
-};
-
 struct VecHash {
   std::size_t operator()(const std::vector<std::uint64_t>& v) const noexcept {
     // Full splitmix64 avalanche per element, seeded by the length: config
-    // keys are low-entropy (mostly-zero words, tiny enum values), and the
-    // HIGH bits must be well mixed too — unordered_map buckets eat the low
-    // bits while the parallel explorer's StripedKeyMap shards on the top
-    // ones, so a weak mix would correlate the two and skew the shards.
+    // keys are low-entropy (mostly-zero words, tiny enum values), so every
+    // word must reach every bit before unordered_map takes its bucket.
     std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ v.size();
     h = splitmix64(h);
     for (std::uint64_t x : v) {
@@ -270,36 +255,33 @@ class ModelChecker {
   /// checker.  Updated once per completed run — never from workers.
   void attach_metrics(const obs::McMetrics* metrics) { metrics_ = metrics; }
 
+  /// The sequential DFS oracle: the small, independent engine that the
+  /// differential harness pins run_reduced() against.
   [[nodiscard]] ModelCheckResult run();
 
-  /// Deterministic parallel exploration; jobs <= 1 delegates to run().
+  /// The BFS engine (DESIGN.md §10–§11), deterministic for any jobs.
   ///
   /// A level-synchronised BFS discovers the configuration graph: workers
   /// expand the frontier in parallel (pure apply() calls plus read-only
-  /// probes of the hash-striped visited set), then a single-threaded merge
-  /// interns new configurations in (frontier, mask) order, so indices and
+  /// probes of the visited index), then a single-threaded merge interns
+  /// new configurations in (frontier, successor) order, so indices and
   /// per-config edge lists come out identical for every worker count.  A
   /// sequential DFS replay over the stored edges then walks exactly the
   /// traversal run() performs — same check order, same first-livelock
-  /// witness, same finish-order DP — so on completed runs every field of
-  /// the result equals run()'s (tests/modelcheck_parallel_test.cpp pins
-  /// this).  Budget-exceeded runs are still deterministic for any jobs,
-  /// but their partial tallies may differ from run()'s partial tallies;
-  /// both report completed = false.
-  [[nodiscard]] ModelCheckResult run_parallel(unsigned jobs);
-
-  /// The reduced explorer (DESIGN.md §11): the same level-synchronised
-  /// BFS + DFS-replay skeleton as run_parallel(), with the three
-  /// reduction layers of options_.reductions applied.  With all layers
-  /// off it reproduces run_parallel() byte for byte (the differential
-  /// harness pins this); compress changes only the visited-set
-  /// representation (still byte-identical results); commute preserves
-  /// everything except the transition count and the identity of the
-  /// livelock witness; symmetry reports per-orbit configuration counts
-  /// while verdicts, colors, per-node worst cases, and worst-case steps
-  /// still match the unreduced run exactly (witnesses and DP values are
-  /// translated through the stored per-edge permutations).
-  /// run_parallel() dispatches here whenever any layer is enabled.
+  /// witness, same finish-order DP — so with all layers off every field
+  /// of a completed result equals run()'s (modelcheck_parallel_test and
+  /// the differential harness pin this).  Budget-exceeded runs are
+  /// deterministic for any jobs, but their partial tallies may differ
+  /// from run()'s; both report completed = false.
+  ///
+  /// The reduction layers of options_.reductions apply on top: compress
+  /// changes only the visited-set representation (still byte-identical
+  /// results); commute preserves everything except the transition count
+  /// and the identity of the livelock witness; symmetry reports per-orbit
+  /// configuration counts while verdicts, colors, per-node worst cases,
+  /// and worst-case steps still match the unreduced run exactly
+  /// (witnesses and DP values are translated through the stored per-edge
+  /// permutations).
   [[nodiscard]] ModelCheckResult run_reduced(unsigned jobs);
 
   /// Run one explicit schedule through the checker's own transition
@@ -685,231 +667,6 @@ ModelCheckResult ModelChecker<A>::run() {
 }
 
 template <Algorithm A>
-ModelCheckResult ModelChecker<A>::run_parallel(unsigned jobs) {
-  if (options_.reductions.any()) return run_reduced(jobs);
-  if (jobs <= 1) return run();
-  ModelCheckResult result;
-  const NodeId n = graph_.node_count();
-
-  struct Edge {
-    std::uint32_t child;
-    std::uint32_t bits;        // completed rounds only (DP accounting)
-    std::uint32_t sigma_bits;  // the full chosen set (witness replay)
-  };
-  std::vector<Config> configs;
-  std::vector<std::vector<Edge>> edges;
-  StripedKeyMap<std::vector<std::uint64_t>, detail::VecHash> index_of;
-  const auto reserve_hint = static_cast<std::size_t>(
-      std::min<std::uint64_t>(options_.max_configs, 65'536));
-  index_of.reserve(reserve_hint);
-  configs.reserve(reserve_hint);
-  {
-    Config root = initial_;
-    index_of.emplace(root.key(), 0);
-    configs.push_back(std::move(root));
-    edges.emplace_back();
-  }
-
-  // ---- Phase 1: level-synchronised BFS discovery of the config graph.
-  // One pending edge per (frontier item, non-empty mask), in mask order —
-  // the slot the sequential merge below drains deterministically.
-  struct Pending {
-    std::optional<std::uint32_t> existing;  // read-only probe hit
-    Config child;                           // populated iff !existing
-    std::vector<std::uint64_t> key;
-    std::uint32_t bits = 0;
-    std::uint32_t sigma_bits = 0;
-  };
-
-  WorkerPool pool(jobs);
-  bool budget_exceeded = false;
-  std::vector<std::uint32_t> frontier{0};
-  while (!frontier.empty() && !budget_exceeded) {
-    // Expansion (parallel): pure transitions plus read-only probes of the
-    // striped visited set — phase discipline, no insert is in flight.
-    std::vector<std::vector<Pending>> expanded(frontier.size());
-    pool.run(frontier.size(), [&](std::size_t item, unsigned /*worker*/) {
-      const Config& c = configs[frontier[item]];
-      const std::vector<NodeId> working = c.working();
-      const auto wsize = static_cast<std::uint32_t>(working.size());
-      const std::uint32_t limit = 1u << wsize;
-      std::vector<Pending>& out = expanded[item];
-      for (std::uint32_t mask = 1; mask < limit;
-           mask = options_.mode == ActivationMode::sets ? mask + 1
-                                                        : mask << 1) {
-        Pending p;
-        std::vector<NodeId> sigma;
-        for (std::uint32_t b = 0; b < wsize; ++b)
-          if (mask & (1u << b)) {
-            const NodeId v = working[b];
-            sigma.push_back(v);
-            p.sigma_bits |= 1u << v;
-            if (options_.atomicity == Atomicity::atomic || c.mid_round[v])
-              p.bits |= 1u << v;
-          }
-        p.child = apply(c, sigma);
-        p.key = p.child.key();
-        p.existing = index_of.find(p.key);
-        if (p.existing) p.child = Config{};  // drop the duplicate's payload
-        out.push_back(std::move(p));
-      }
-      // Fault stage, mirroring run(): after all masks, one budgeted
-      // fault event per working node, in working order.
-      if (options_.fault_mode != McFaultMode::none && c.faults_left > 0) {
-        const bool recovery =
-            options_.fault_mode == McFaultMode::crash_recovery;
-        for (std::uint32_t b = 0; b < wsize; ++b) {
-          Pending p;
-          p.sigma_bits = fault_witness_mark(working[b], recovery);
-          p.child = fault_successor(c, working[b]);
-          p.key = p.child.key();
-          p.existing = index_of.find(p.key);
-          if (p.existing) p.child = Config{};
-          out.push_back(std::move(p));
-        }
-      }
-    });
-
-    // Merge (sequential): intern in (frontier, mask) order, so indices,
-    // edge lists, and the budget cut-off are worker-count independent.
-    std::vector<std::uint32_t> next_frontier;
-    for (std::size_t item = 0;
-         item < expanded.size() && !budget_exceeded; ++item) {
-      const std::uint32_t parent = frontier[item];
-      for (Pending& p : expanded[item]) {
-        std::optional<std::uint32_t> idx = p.existing;
-        if (!idx) idx = index_of.find(p.key);  // interned earlier this merge
-        if (!idx) {
-          if (configs.size() >= options_.max_configs) {
-            budget_exceeded = true;
-            break;
-          }
-          idx = static_cast<std::uint32_t>(configs.size());
-          index_of.emplace(std::move(p.key), *idx);
-          configs.push_back(std::move(p.child));
-          edges.emplace_back();
-          next_frontier.push_back(*idx);
-        }
-        edges[parent].push_back({*idx, p.bits, p.sigma_bits});
-      }
-    }
-    frontier = std::move(next_frontier);
-  }
-
-  // ---- Phase 2: sequential DFS replay over the stored edges.  Edge lists
-  // are in exactly the mask order run() enumerates, so this walk visits,
-  // checks, and finishes configurations in run()'s order — reproducing its
-  // first-livelock witness, tallies, and reverse-topological DP.
-  std::vector<std::uint64_t> colors_used;
-  auto check_config = [&](const Config& c) -> bool {
-    for (NodeId v = 0; v < n; ++v) {
-      if (!c.outputs[v]) continue;
-      const auto code = A::color_code(*c.outputs[v]);
-      if (options_.check_output_properness) {
-        for (NodeId u : graph_.neighbors(v)) {
-          if (u < v || !c.outputs[u]) continue;
-          if (code == A::color_code(*c.outputs[u])) {
-            result.outputs_proper = false;
-            if (!result.safety_violation)
-              result.safety_violation = "improper outputs on edge (" +
-                                        std::to_string(v) + "," +
-                                        std::to_string(u) + ")";
-          }
-        }
-      }
-      bool known = false;
-      for (auto x : colors_used) known |= (x == code);
-      if (!known) colors_used.push_back(code);
-    }
-    if (options_.safety && !result.safety_violation) {
-      if (auto err = options_.safety(c.states, c.registers, c.outputs))
-        result.safety_violation = std::move(err);
-    }
-    return !result.safety_violation.has_value();
-  };
-
-  struct RFrame {
-    std::uint32_t config;
-    std::size_t next_edge;
-    std::uint32_t incoming_bits;  // activation set that entered this frame
-  };
-  std::vector<std::uint8_t> color(configs.size(), 0);
-  std::vector<std::uint8_t> touched(configs.size(), 0);  // run()'s interns
-  std::uint64_t interned = 1;  // the root
-  touched[0] = 1;
-  bool cycle_found = false;
-  std::vector<std::uint32_t> finish_order;
-  std::vector<RFrame> stack;
-  if (check_config(configs[0])) {
-    color[0] = 1;
-    stack.push_back({0, 0, 0});
-  }
-  while (!stack.empty()) {
-    RFrame& f = stack.back();
-    const std::vector<Edge>& out = edges[f.config];
-    if (f.next_edge >= out.size() || result.safety_violation) {
-      if (configs[f.config].working().empty()) ++result.terminal_configs;
-      color[f.config] = 2;
-      finish_order.push_back(f.config);
-      stack.pop_back();
-      continue;
-    }
-    const Edge e = out[f.next_edge];
-    ++f.next_edge;
-    ++result.transitions;
-    if (!touched[e.child]) {
-      touched[e.child] = 1;
-      ++interned;
-    }
-    if (color[e.child] == 0) {
-      if (!check_config(configs[e.child])) continue;
-      color[e.child] = 1;
-      stack.push_back({e.child, 0, e.sigma_bits});
-    } else if (color[e.child] == 1) {
-      if (!cycle_found) {
-        std::size_t ci_pos = 0;
-        while (stack[ci_pos].config != e.child) ++ci_pos;
-        for (std::size_t i = 1; i <= ci_pos; ++i)
-          result.livelock_prefix.push_back(stack[i].incoming_bits);
-        for (std::size_t i = ci_pos + 1; i < stack.size(); ++i)
-          result.livelock_loop.push_back(stack[i].incoming_bits);
-        result.livelock_loop.push_back(e.sigma_bits);
-      }
-      cycle_found = true;  // keep walking to finish counting
-    }
-  }
-
-  result.completed = !budget_exceeded;
-  result.wait_free = !cycle_found && result.completed &&
-                     !result.safety_violation.has_value();
-  result.configs = interned;
-  std::sort(colors_used.begin(), colors_used.end());
-  result.colors_used = std::move(colors_used);
-
-  if (result.wait_free) {
-    std::vector<std::uint64_t> worst(configs.size() * n, 0);
-    std::vector<std::uint64_t> steps(configs.size(), 0);
-    for (const std::uint32_t u : finish_order) {
-      for (const Edge& e : edges[u]) {
-        for (NodeId v = 0; v < n; ++v) {
-          const std::uint64_t cand =
-              worst[static_cast<std::size_t>(e.child) * n + v] +
-              ((e.bits >> v) & 1u);
-          auto& slot = worst[static_cast<std::size_t>(u) * n + v];
-          slot = std::max(slot, cand);
-        }
-        steps[u] = std::max(steps[u], steps[e.child] + 1);
-      }
-    }
-    result.worst_case_activations.assign(n, 0);
-    for (NodeId v = 0; v < n; ++v)
-      result.worst_case_activations[v] = worst[v];  // root is index 0
-    result.worst_case_steps = steps[0];
-  }
-  return result;
-}
-
-template <Algorithm A>
 ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
   ModelCheckResult result;
   const NodeId n = graph_.node_count();
@@ -924,9 +681,9 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
 
   // Per-configuration metadata.  Interior configurations are NOT
   // retained — only the live frontier is materialised (that, plus the
-  // tree-compressed keys, is the memory win over run_parallel).  Check
-  // results are computed once at intern time so Phase 2 can replay
-  // run()'s abort semantics without the configuration payloads.
+  // tree-compressed keys, is the memory win over run(), which keeps every
+  // configuration).  Check results are computed once at intern time so
+  // Phase 2 can replay run()'s abort semantics without the payloads.
   struct REdge {
     std::uint32_t child;
     std::uint32_t bits;        // completed rounds (DP accounting)
@@ -943,9 +700,15 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
   std::vector<std::uint32_t> colors_off{0};
   std::unordered_map<std::uint32_t, Violation> violation_at;
 
+  // Visited index: StateStore handle -> config index under compress, the
+  // full key -> config index otherwise.  Phase discipline, not locks: the
+  // parallel expansion only calls const find(); every insert happens in
+  // the single-threaded merge between the WorkerPool's fork/join edges.
   StateStore store;
-  StripedKeyMap<std::uint64_t, detail::U64Hash> handle_index;
-  StripedKeyMap<std::vector<std::uint64_t>, detail::VecHash> key_index;
+  std::unordered_map<std::uint64_t, std::uint32_t> handle_index;
+  std::unordered_map<std::vector<std::uint64_t>, std::uint32_t,
+                     detail::VecHash>
+      key_index;
   std::unordered_set<std::vector<std::uint64_t>, detail::VecHash> census_set;
   const auto reserve_hint = static_cast<std::size_t>(
       std::min<std::uint64_t>(options_.max_configs, 65'536));
@@ -998,15 +761,19 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
     return k;
   };
 
+  const auto find_in = [](const auto& index, const auto& key)
+      -> std::optional<std::uint32_t> {
+    const auto it = index.find(key);
+    if (it == index.end()) return std::nullopt;
+    return it->second;
+  };
   const auto probe = [&](const std::vector<std::uint64_t>& key,
                          std::vector<std::uint32_t>& scratch)
       -> std::optional<std::uint32_t> {
-    if (compress) {
-      const auto h = store.lookup(key, scratch);
-      if (!h) return std::nullopt;
-      return handle_index.find(*h);
-    }
-    return key_index.find(key);
+    if (!compress) return find_in(key_index, key);
+    const auto h = store.lookup(key, scratch);
+    if (!h) return std::nullopt;
+    return find_in(handle_index, *h);
   };
 
   const auto intern_key = [&](std::vector<std::uint64_t>&& key,
@@ -1067,9 +834,12 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
     frontier_cfg.push_back(std::move(root_cfg));
   }
 
-  // ---- Phase 1: level-synchronised BFS, as in run_parallel(), with the
-  // reduction layers applied in expansion and the merge kept sequential
-  // in (frontier item, successor) order for worker-count independence.
+  // ---- Phase 1: level-synchronised BFS discovery of the configuration
+  // graph.  Workers expand the frontier in parallel — pure transitions,
+  // the reduction layers, and read-only probes of the visited index —
+  // then a sequential merge interns in (frontier item, successor) order,
+  // so indices, edge lists and the budget cut-off are worker-count
+  // independent.
   struct RPending {
     std::optional<std::uint32_t> existing;
     Config child;  // parent-coordinate payload; permuted at intern if sym
@@ -1096,12 +866,12 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
       KeyScratch& s = scratch[worker];
       RExpansion& ex = expanded[item];
 
-      const auto emit = [&](const std::vector<NodeId>& sigma,
-                            std::uint32_t bits, std::uint32_t sigma_bits) {
+      const auto emit = [&](Config&& child, std::uint32_t bits,
+                            std::uint32_t sigma_bits) {
         RPending p;
         p.bits = bits;
         p.sigma_bits = sigma_bits;
-        p.child = apply(c, sigma);
+        p.child = std::move(child);
         p.perm = build_key(p.child, s, p.key);
         if (census && !sym)
           p.census_key = build_census_key(s, p.child.faults_left);
@@ -1129,7 +899,7 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
             if (options_.atomicity == Atomicity::atomic || c.mid_round[v])
               bits |= 1u << v;
           }
-          emit(sigma, bits, set);
+          emit(apply(c, sigma), bits, set);
         });
         if (wsize > 0)
           ex.skipped = ((std::uint64_t{1} << wsize) - 1) - emitted;
@@ -1150,7 +920,7 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
                   c.mid_round[v])
                 bits |= 1u << v;
             }
-          emit(sigma, bits, sigma_bits);
+          emit(apply(c, sigma), bits, sigma_bits);
         }
       }
       // Fault stage, mirroring run(): after the activation sets, one
@@ -1158,17 +928,8 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
       if (options_.fault_mode != McFaultMode::none && c.faults_left > 0) {
         const bool recovery =
             options_.fault_mode == McFaultMode::crash_recovery;
-        for (const NodeId v : working) {
-          RPending p;
-          p.sigma_bits = fault_witness_mark(v, recovery);
-          p.child = fault_successor(c, v);
-          p.perm = build_key(p.child, s, p.key);
-          if (census && !sym)
-            p.census_key = build_census_key(s, p.child.faults_left);
-          p.existing = probe(p.key, s.probes);
-          if (p.existing) p.child = Config{};
-          ex.out.push_back(std::move(p));
-        }
+        for (const NodeId v : working)
+          emit(fault_successor(c, v), 0, fault_witness_mark(v, recovery));
       }
     });
 
@@ -1214,10 +975,13 @@ ModelCheckResult ModelChecker<A>::run_reduced(unsigned jobs) {
   result.canonical_classes =
       sym ? stored_total : (census ? census_set.size() : 0);
 
-  // ---- Phase 2: sequential DFS replay over the stored edges, exactly
-  // run_parallel()'s walk, with check data read from the per-config
-  // slots and (under sym) activation sets and DP values translated
-  // through the per-edge permutations.
+  // ---- Phase 2: sequential DFS replay over the stored edges.  Without
+  // commute, edge lists are in exactly the order run() enumerates
+  // successors, so this walk visits, checks, and finishes configurations
+  // in run()'s order — reproducing its first-livelock witness, tallies,
+  // and reverse-topological DP — with check data read from the
+  // per-config slots and (under sym) activation sets and DP values
+  // translated through the per-edge permutations.
   std::vector<std::uint64_t> colors_used;
   const auto check_at = [&](std::uint32_t idx) -> bool {
     for (std::uint32_t w = colors_off[idx]; w < colors_off[idx + 1]; ++w) {

@@ -13,7 +13,7 @@
 // walk safe from any number of workers concurrently AS LONG AS no
 // intern() is in flight; intern() and reserve() must run single-threaded
 // between parallel phases — exactly the explorer's level-synchronised
-// BFS alternation, the same contract as StripedKeyMap.
+// BFS alternation, which keeps its handle index under the same contract.
 #pragma once
 
 #include <bit>
@@ -42,10 +42,9 @@ class StateStore {
   /// pairs are propagated, not interned, so padding costs nothing.
   static constexpr std::uint32_t kPad = 0xffff'ffffu;
 
-  /// Pre-size the tables for ~`expected_states` interned keys (the same
-  /// rehash-churn fix as StripedKeyMap::reserve; sized for 10⁸+ states
-  /// the up-front reservation is the difference between one allocation
-  /// and a cascade of table doublings mid-exploration).
+  /// Pre-size the tables for ~`expected_states` interned keys (sized for
+  /// 10⁸+ states the up-front reservation is the difference between one
+  /// allocation and a cascade of table doublings mid-exploration).
   void reserve(std::size_t expected_states) {
     word_id_.reserve(expected_states / 4 + 16);
     pair_id_.reserve(expected_states * 2 + 16);

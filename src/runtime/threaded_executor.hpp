@@ -27,9 +27,12 @@
 //
 // Publish-point fault injection (ThreadedFault) exercises exactly those
 // paths: `corrupt_words` XORs the node's k-th published payload in place
-// (through the full seqlock write protocol, so the single-writer rule
-// holds), and `stall_mid_publish` leaves the version word odd and kills
-// the thread — a writer crashed mid-write.
+// once that round's step has run (through the full seqlock write
+// protocol, so the single-writer rule holds), and is dropped if the step
+// decided — a terminated node's register is final, and corrupting it
+// would leave neighbours nothing to read but the mangled value (DESIGN.md
+// §7); `stall_mid_publish` leaves the version word odd at the k-th
+// publish and kills the thread — a writer crashed mid-write.
 //
 // Algorithms additionally need `kRegisterWords` and `decode_register`
 // (see ThreadSafeAlgorithm below); provided for the cycle algorithms.
@@ -62,6 +65,7 @@ concept ThreadSafeAlgorithm = Algorithm<A> && RegisterCodable<A>;
 struct ThreadedFault {
   enum class Kind : std::uint8_t {
     corrupt_words,      ///< XOR the k-th published payload with `mask`
+                        ///< after that round's step, unless it decided
     stall_mid_publish,  ///< die with the seqlock version left odd
   };
   NodeId node = 0;
@@ -222,12 +226,14 @@ class ThreadedExecutor {
     return odd + 1;
   }
 
-  /// Publish, then apply any faults due at this publish.  Returns false if
-  /// the node died mid-publish (stall fault) and must stop its thread.
+  /// Publish `reg` (its encoding is left in `words`), then apply a stall
+  /// fault due at this publish.  Returns false if the node died
+  /// mid-publish and must stop its thread.
   [[nodiscard]] bool publish(NodeId v, const Register& reg,
-                             std::uint64_t publish_index, LocalCounts& c) {
-    std::vector<std::uint64_t> words;
-    words.reserve(A::kRegisterWords);
+                             std::uint64_t publish_index,
+                             std::vector<std::uint64_t>& words,
+                             LocalCounts& c) {
+    words.clear();
     reg.encode(words);
     FTCC_EXPECTS(words.size() == A::kRegisterWords);
     const std::uint64_t version = store_words(v, words);
@@ -236,31 +242,42 @@ class ThreadedExecutor {
       hb_log_->record(v, {HbEventKind::publish, publish_index, v, version,
                           words});
     for (const ThreadedFault& f : faults_[v]) {
-      if (f.after_publishes != publish_index) continue;
-      if (f.kind == ThreadedFault::Kind::corrupt_words) {
-        for (auto& w : words) w ^= f.mask;
-        const std::uint64_t adv_version = store_words(v, words);
-        ++c.corruptions;
-        if (hb_log_)
-          hb_log_->record(v, {HbEventKind::adversary, publish_index, v,
-                              adv_version, words});
-      } else {
-        // Die mid-write: version goes odd, half the payload lands, and the
-        // closing even store never happens.
-        auto version_word = word(v, 0);
-        const std::uint64_t odd =
-            version_word.load(std::memory_order_relaxed) + 1;
-        version_word.store(odd, std::memory_order_release);
-        if (!words.empty())
-          word(v, 1).store(~words[0], std::memory_order_relaxed);
-        stalled_[v] = 1;
-        ++c.stalls;
-        if (hb_log_)
-          hb_log_->record(v, {HbEventKind::stall, publish_index, v, odd, {}});
-        return false;
-      }
+      if (f.after_publishes != publish_index ||
+          f.kind != ThreadedFault::Kind::stall_mid_publish)
+        continue;
+      // Die mid-write: version goes odd, half the payload lands, and the
+      // closing even store never happens.
+      auto version_word = word(v, 0);
+      const std::uint64_t odd =
+          version_word.load(std::memory_order_relaxed) + 1;
+      version_word.store(odd, std::memory_order_release);
+      if (!words.empty())
+        word(v, 1).store(~words[0], std::memory_order_relaxed);
+      stalled_[v] = 1;
+      ++c.stalls;
+      if (hb_log_)
+        hb_log_->record(v, {HbEventKind::stall, publish_index, v, odd, {}});
+      return false;
     }
     return true;
+  }
+
+  /// Apply the corrupt_words faults due at this publish to the payload it
+  /// stored (`words`).  Called after the round's step, and only when the
+  /// step did not decide.
+  void corrupt(NodeId v, std::uint64_t publish_index,
+               std::vector<std::uint64_t>& words, LocalCounts& c) {
+    for (const ThreadedFault& f : faults_[v]) {
+      if (f.after_publishes != publish_index ||
+          f.kind != ThreadedFault::Kind::corrupt_words)
+        continue;
+      for (auto& w : words) w ^= f.mask;
+      const std::uint64_t adv_version = store_words(v, words);
+      ++c.corruptions;
+      if (hb_log_)
+        hb_log_->record(v, {HbEventKind::adversary, publish_index, v,
+                            adv_version, words});
+    }
   }
 
   [[nodiscard]] std::optional<Register> read(NodeId reader, NodeId v,
@@ -326,8 +343,10 @@ class ThreadedExecutor {
     auto state = algo_.init(v, ids_[v], graph_->degree(v));
     const auto neighbors = graph_->neighbors(v);
     std::vector<std::optional<Register>> view(neighbors.size());
+    std::vector<std::uint64_t> words;
+    words.reserve(A::kRegisterWords);
     for (std::uint64_t round = 0; round < max_rounds; ++round) {
-      if (!publish(v, algo_.publish(state), round, counts)) return;
+      if (!publish(v, algo_.publish(state), round, words, counts)) return;
       for (std::size_t i = 0; i < neighbors.size(); ++i)
         view[i] = read(v, neighbors[i], round, counts);
       ++activations_[v];
@@ -343,6 +362,7 @@ class ThreadedExecutor {
                   {}});
         return;
       }
+      corrupt(v, round, words, counts);
       if (round % 16 == 15) std::this_thread::yield();
     }
   }

@@ -1,7 +1,7 @@
 // Differential harness for the reduced explorer (DESIGN.md §11): every
 // on/off combination of the three reduction layers — compressed state
 // store, cycle-symmetry quotient, commuting-activation reduction — is run
-// against the unreduced PR-5 explorer on C4/C5, across all five paper
+// against the unreduced DFS oracle run() on C4/C5, across all five paper
 // algorithms and all fault modes.  The equality matrix:
 //
 //   all layers off            -> byte-identical to run()
@@ -222,19 +222,6 @@ TEST(Differential, SymmetricForeverQuotientIsExact) {
   EXPECT_EQ(sym.configs, 4u);
   EXPECT_FALSE(sym.wait_free);
   EXPECT_EQ(sym.wait_free, raw.wait_free);
-}
-
-TEST(Differential, RunParallelDispatchesToReduced) {
-  // run_parallel() with any layer enabled must route through run_reduced
-  // and still agree with the unreduced run.
-  ModelCheckOptions<SixColoring> opt;
-  opt.mode = ActivationMode::sets;
-  ModelChecker<SixColoring> plain(SixColoring{}, make_cycle(4),
-                                  random_ids(4, 2026), opt);
-  opt.reductions.compress = true;
-  ModelChecker<SixColoring> reduced(SixColoring{}, make_cycle(4),
-                                    random_ids(4, 2026), opt);
-  expect_equal(plain.run(), reduced.run_parallel(3));
 }
 
 TEST(Differential, ReducedWorkerCountInvariance) {

@@ -1,6 +1,6 @@
 // The deterministic-parallelism building blocks (DESIGN.md §10): the
-// fork/join WorkerPool with seed-sharded dispatch and stealing, the
-// hash-striped visited set, and the cross-worker progress tally.
+// fork/join WorkerPool with seed-sharded dispatch and stealing, and the
+// cross-worker progress tally.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -67,33 +67,6 @@ TEST(WorkerPool, MetricsCountEveryTask) {
   });
   EXPECT_EQ(metrics.tasks->value(), 100u);
   EXPECT_EQ(sum.load(), 100u * 99u / 2);
-}
-
-struct IdentityHash {
-  std::size_t operator()(const std::uint64_t& v) const noexcept {
-    return static_cast<std::size_t>(v);
-  }
-};
-
-TEST(StripedKeyMap, FindEmplaceAndOccupancy) {
-  using Map = StripedKeyMap<std::uint64_t, IdentityHash>;
-  Map map;
-  map.reserve(1024);
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_FALSE(map.find(7).has_value());
-  // Keys with varied high bits so the shards (chosen from the top bits)
-  // actually spread; values are dense indices like the explorer's.
-  for (std::uint32_t i = 0; i < 512; ++i)
-    map.emplace(static_cast<std::uint64_t>(i) << 55, i);
-  EXPECT_EQ(map.size(), 512u);
-  for (std::uint32_t i = 0; i < 512; ++i) {
-    const auto idx = map.find(static_cast<std::uint64_t>(i) << 55);
-    ASSERT_TRUE(idx.has_value());
-    EXPECT_EQ(*idx, i);
-  }
-  EXPECT_FALSE(map.find(std::uint64_t{12345}).has_value());
-  // 512 keys cycling through all 16 high-bit shards: perfectly even.
-  EXPECT_EQ(map.max_shard_size(), 512u / Map::kShards);
 }
 
 TEST(TrialTally, FiresOnCadenceAndOnTheLastTrial) {

@@ -13,9 +13,35 @@
 #include "core/algo5_fast_six_coloring.hpp"
 #include "core/recovering.hpp"
 #include "graph/coloring.hpp"
+#include "runtime/hb_log.hpp"
 
 namespace ftcc {
 namespace {
+
+// Decides on its first activation, colouring itself with its identifier:
+// the smallest algorithm whose deciding round is also its first publish.
+struct DecideAtOnce {
+  struct Register {
+    std::uint64_t id = 0;
+    void encode(std::vector<std::uint64_t>& out) const { out.push_back(id); }
+  };
+  struct State {
+    std::uint64_t id = 0;
+  };
+  using Output = std::uint64_t;
+  static constexpr std::size_t kRegisterWords = 1;
+
+  State init(NodeId, std::uint64_t id, int) const { return {id}; }
+  Register publish(const State& s) const { return {s.id}; }
+  std::optional<Output> step(State& s, NeighborView<Register>) const {
+    return s.id;
+  }
+  static std::uint64_t color_code(const Output& o) { return o; }
+  static Register decode_register(std::span<const std::uint64_t> words) {
+    return {words[0]};
+  }
+};
+static_assert(ThreadSafeAlgorithm<DecideAtOnce>);
 
 TEST(Threaded, Algorithm1CompletesAndColorsProperly) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
@@ -116,27 +142,53 @@ TEST(Threaded, HealthyRunsNeverTimeOutARead) {
 TEST(Threaded, StallMidPublishDegradesToBottomNotLivelock) {
   // A writer dying with the seqlock version odd used to pin its readers in
   // an unbounded spin; now the read times out, degrades to ⊥ (a sleeping
-  // neighbour), and the survivors terminate.
+  // neighbour), and the survivors terminate.  Whether a neighbour meets
+  // the dead cell at all is the OS's choice: one whose first, deciding
+  // activation reads node 0 before node 0's first publish only ever sees
+  // ⊥.  So every run checks each neighbour read of node 0 in the event
+  // log — ⊥ before the publish, the completed publish, or a timeout, never
+  // the odd or torn cell — and each neighbour must take the timeout path
+  // in some run.
   const NodeId n = 8;
   const Graph g = make_cycle(n);
-  ThreadedOptions options;
-  options.max_read_attempts = 20'000;  // small: force the timeout path fast
-  options.faults.push_back(
-      {0, ThreadedFault::Kind::stall_mid_publish, 0, 0});
-  ThreadedExecutor<SixColoring> ex(SixColoring{}, g, random_ids(n, 3),
-                                   options);
-  const auto result = ex.run(200'000);
-  ASSERT_TRUE(result.completed);  // the stalled node counts as crashed
-  EXPECT_EQ(result.fates[0], NodeFate::crashed);
-  EXPECT_TRUE(result.crashed[0]);
-  EXPECT_FALSE(result.outputs[0].has_value());
-  // Its neighbours hit the bounded-read timeout at least once each.
-  EXPECT_GT(ex.torn_read_timeouts(1), 0u);
-  EXPECT_GT(ex.torn_read_timeouts(n - 1), 0u);
-  const auto colors = to_partial_coloring<SixColoring>(result.outputs);
-  EXPECT_TRUE(is_proper_partial(g, colors));
-  for (NodeId v = 1; v < n; ++v)
-    EXPECT_EQ(result.fates[v], NodeFate::terminated);
+  std::uint64_t timeouts_first = 0;
+  std::uint64_t timeouts_last = 0;
+  for (int run = 0; run < 5; ++run) {
+    ThreadedOptions options;
+    options.max_read_attempts = 20'000;  // small: force the timeout path fast
+    options.faults.push_back(
+        {0, ThreadedFault::Kind::stall_mid_publish, 0, 0});
+    ThreadedExecutor<SixColoring> ex(SixColoring{}, g, random_ids(n, 3),
+                                     options);
+    HbLog log;
+    ex.attach_hb_log(&log);
+    const auto result = ex.run(200'000);
+    ASSERT_TRUE(result.completed);  // the stalled node counts as crashed
+    EXPECT_EQ(result.fates[0], NodeFate::crashed);
+    EXPECT_TRUE(result.crashed[0]);
+    EXPECT_FALSE(result.outputs[0].has_value());
+    for (const NodeId u : {NodeId{1}, n - 1}) {
+      std::uint64_t logged_timeouts = 0;
+      for (const HbEvent& e : log.events(u)) {
+        if (e.peer != 0) continue;
+        if (e.kind == HbEventKind::read_timeout) ++logged_timeouts;
+        if (e.kind == HbEventKind::read) {
+          EXPECT_TRUE(e.version == 0 || e.version == 2)
+              << "node " << u << " read version " << e.version;
+        }
+      }
+      EXPECT_EQ(ex.torn_read_timeouts(u), logged_timeouts);
+    }
+    timeouts_first += ex.torn_read_timeouts(1);
+    timeouts_last += ex.torn_read_timeouts(n - 1);
+    const auto colors = to_partial_coloring<SixColoring>(result.outputs);
+    EXPECT_TRUE(is_proper_partial(g, colors));
+    for (NodeId v = 1; v < n; ++v)
+      EXPECT_EQ(result.fates[v], NodeFate::terminated);
+  }
+  // Its neighbours hit the bounded-read timeout.
+  EXPECT_GT(timeouts_first, 0u);
+  EXPECT_GT(timeouts_last, 0u);
 }
 
 TEST(Threaded, PublishPointCorruptionIsHealedByTheWrapper) {
@@ -159,6 +211,31 @@ TEST(Threaded, PublishPointCorruptionIsHealedByTheWrapper) {
     EXPECT_TRUE(
         is_proper_total(g, to_partial_coloring<Wrapped>(result.outputs)));
   }
+}
+
+TEST(Threaded, CorruptionDueAtTheDecidingPublishIsDropped) {
+  // A terminated node's register is final (DESIGN.md §7): a corrupt_words
+  // fault due at the publish of the node's deciding round must not land,
+  // or its neighbours could only ever read the mangled value.  The node's
+  // last register write is therefore its own publish.
+  const NodeId n = 3;
+  const Graph g = make_cycle(n);
+  ThreadedOptions options;
+  options.faults.push_back(
+      {1, ThreadedFault::Kind::corrupt_words, 0, 0xdeadbeefULL});
+  ThreadedExecutor<DecideAtOnce> ex(DecideAtOnce{}, g, {10, 20, 30}, options);
+  HbLog log;
+  ex.attach_hb_log(&log);
+  const auto result = ex.run(16);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.outputs[1], 20u);
+  std::optional<HbEvent> last_write;
+  for (const HbEvent& e : log.events(1))
+    if (e.kind == HbEventKind::publish || e.kind == HbEventKind::adversary)
+      last_write = e;
+  ASSERT_TRUE(last_write.has_value());
+  EXPECT_EQ(last_write->kind, HbEventKind::publish);
+  EXPECT_EQ(last_write->words, std::vector<std::uint64_t>{20});
 }
 
 }  // namespace
