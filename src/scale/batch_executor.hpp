@@ -8,10 +8,11 @@
 // O(chain length) sweeps — and restricting to it is what makes the
 // per-node bookkeeping collapse into flat arrays:
 //
-//   - registers and private state live in parallel std::uint64_t columns
-//     keyed by NodeId (the arena idea of runtime/register_file.hpp taken
-//     to its limit: no slots, no optionals, one cache line holds eight
-//     neighbours' worth of one field);
+//   - registers and private state live in parallel columns keyed by
+//     NodeId (the arena idea of runtime/register_file.hpp taken to its
+//     limit: no slots, no optionals, one cache line holds eight
+//     neighbours' worth of one std::uint64_t field, or 32 of Algorithm 4's
+//     packed 2-byte published pair);
 //   - termination, crash, and register-presence are one bit per node in
 //     packed word bitmaps; the frontier bitmap (= working set) drives the
 //     sweep in ascending index order, so the columns are walked
@@ -43,6 +44,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -90,13 +92,25 @@ template <typename A>
 struct BatchColumns;
 
 /// Algorithm 4 (DeltaSquaredColoring): state columns x/a/b, published
-/// register columns px/pa/pb.  x is the immutable identifier.
+/// register column ab.  x is the immutable identifier — step() never writes
+/// it after init — so a published x always equals x[u] and is not copied;
+/// the mex loop reads x[u] under the same presence mask.  The published
+/// (a, b) pair is one 2-byte record per node: components are mex results
+/// over at most Δ values, so a random neighbour's conflict test costs one
+/// cache line of a 2n-byte array instead of one per 8n-byte column.
 template <>
 struct BatchColumns<DeltaSquaredColoring> {
   using Output = DeltaSquaredColoring::Output;
 
-  std::vector<std::uint64_t> x, a, b;     // private state
-  std::vector<std::uint64_t> px, pa, pb;  // published register
+  struct PublishedPair {
+    std::uint8_t a, b;
+  };
+  static_assert(DeltaSquaredColoring::kMaxDegree <=
+                    std::numeric_limits<std::uint8_t>::max(),
+                "a published colour component must fit in one byte");
+
+  std::vector<std::uint64_t> x, a, b;  // private state
+  std::vector<PublishedPair> ab;       // published register
 
   void reset(const Graph& g, const IdAssignment& ids) {
     const NodeId n = g.node_count();
@@ -107,15 +121,12 @@ struct BatchColumns<DeltaSquaredColoring> {
     x.assign(ids.begin(), ids.end());
     a.assign(n, 0);
     b.assign(n, 0);
-    px.assign(n, 0);
-    pa.assign(n, 0);
-    pb.assign(n, 0);
+    ab.assign(n, PublishedPair{0, 0});
   }
 
   void publish(NodeId v) noexcept {
-    px[v] = x[v];
-    pa[v] = a[v];
-    pb[v] = b[v];
+    ab[v] = PublishedPair{static_cast<std::uint8_t>(a[v]),
+                          static_cast<std::uint8_t>(b[v])};
   }
 
   /// One activation of v against published neighbour columns; `present`
@@ -127,8 +138,8 @@ struct BatchColumns<DeltaSquaredColoring> {
     std::uint64_t conflict = 0;
     for (const NodeId u : neigh) {
       const std::uint64_t pres = (present[u >> 6] >> (u & 63)) & 1u;
-      conflict |= pres & static_cast<std::uint64_t>(pa[u] == sa) &
-                  static_cast<std::uint64_t>(pb[u] == sb);
+      conflict |= pres & static_cast<std::uint64_t>(ab[u].a == sa) &
+                  static_cast<std::uint64_t>(ab[u].b == sb);
     }
     if (!conflict) {
       out = Output{sa, sb};
@@ -139,8 +150,8 @@ struct BatchColumns<DeltaSquaredColoring> {
     lower_b.clear();
     for (const NodeId u : neigh) {
       const std::uint64_t pres = (present[u >> 6] >> (u & 63)) & 1u;
-      higher_a.set_if(pa[u], pres & static_cast<std::uint64_t>(px[u] > sx));
-      lower_b.set_if(pb[u], pres & static_cast<std::uint64_t>(px[u] < sx));
+      higher_a.set_if(ab[u].a, pres & static_cast<std::uint64_t>(x[u] > sx));
+      lower_b.set_if(ab[u].b, pres & static_cast<std::uint64_t>(x[u] < sx));
     }
     a[v] = higher_a.mex();
     b[v] = lower_b.mex();
@@ -148,9 +159,9 @@ struct BatchColumns<DeltaSquaredColoring> {
   }
 
   [[nodiscard]] std::size_t heap_bytes() const noexcept {
-    return (x.capacity() + a.capacity() + b.capacity() + px.capacity() +
-            pa.capacity() + pb.capacity()) *
-           sizeof(std::uint64_t);
+    return (x.capacity() + a.capacity() + b.capacity()) *
+               sizeof(std::uint64_t) +
+           ab.capacity() * sizeof(PublishedPair);
   }
 };
 

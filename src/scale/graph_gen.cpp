@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -16,20 +17,19 @@ bool ring_adjacent(NodeId u, NodeId v, NodeId n) {
   return v == u + 1 || (u == 0 && v == n - 1);
 }
 
-/// Assemble the CSR pair from the backbone plus accepted chords.  Chords
-/// arrive as u * n + v keys (u < v); duplicates from the eager sampling
-/// are removed here — a duplicate only ever *lowers* a degree below what
-/// the sampler accounted for, so the cap survives dedup.  One counting
-/// pass, one prefix sum, one cursor fill: every array is sized exactly
-/// once.
-Graph csr_from_ring_and_chords(NodeId n, std::vector<std::uint64_t>& chords) {
-  std::sort(chords.begin(), chords.end());
-  chords.erase(std::unique(chords.begin(), chords.end()), chords.end());
-  std::vector<std::uint32_t> deg(n, 2);  // the backbone
-  for (const std::uint64_t key : chords) {
-    ++deg[static_cast<NodeId>(key / n)];
-    ++deg[static_cast<NodeId>(key % n)];
-  }
+/// A chord {u, v} of the backbone, stored as drawn (duplicates included).
+using Chord = std::pair<NodeId, NodeId>;
+
+/// Assemble the CSR pair from the backbone plus accepted chords.  `deg`
+/// is the sampler's eager count (2 + chords drawn at the node, duplicates
+/// included), so it sizes every row's bucket exactly: one prefix sum, one
+/// cursor fill.  Each row is then its two backbone entries followed by its
+/// chord neighbours sorted and deduplicated in place (at most Δ−2 entries,
+/// so the sort is a few compares), and a compaction pass closes the gaps
+/// that duplicates left.  A duplicate only ever *lowers* a degree below
+/// what the sampler accounted for, so the cap survives dedup.
+Graph csr_from_ring_and_chords(NodeId n, const std::vector<std::uint8_t>& deg,
+                               const std::vector<Chord>& chords) {
   std::vector<std::size_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (NodeId v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + deg[v];
   std::vector<NodeId> adjacency(offsets[n]);
@@ -39,12 +39,22 @@ Graph csr_from_ring_and_chords(NodeId n, std::vector<std::uint64_t>& chords) {
     adjacency[cursor[v]++] = u;
     adjacency[cursor[u]++] = v;
   }
-  for (const std::uint64_t key : chords) {
-    const NodeId u = static_cast<NodeId>(key / n);
-    const NodeId v = static_cast<NodeId>(key % n);
+  for (const auto& [u, v] : chords) {
     adjacency[cursor[u]++] = v;
     adjacency[cursor[v]++] = u;
   }
+  std::size_t out = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    NodeId* const row = adjacency.data() + offsets[v];
+    NodeId* const row_end = adjacency.data() + offsets[v + 1];
+    std::sort(row + 2, row_end);
+    NodeId* const kept = std::unique(row + 2, row_end);
+    if (out != offsets[v]) std::copy(row, kept, adjacency.data() + out);
+    offsets[v] = out;
+    out += static_cast<std::size_t>(kept - row);
+  }
+  offsets[n] = out;
+  adjacency.resize(out);
   return Graph::from_csr(n, std::move(offsets), std::move(adjacency));
 }
 
@@ -59,7 +69,7 @@ Graph make_random_bounded_degree_csr(NodeId n, int max_degree,
   // it is accepted, so the cap holds even before dedup (duplicates can
   // only waste budget, never exceed it).
   std::vector<std::uint8_t> deg(n, 2);
-  std::vector<std::uint64_t> chords;
+  std::vector<Chord> chords;
   const std::size_t budget = static_cast<std::size_t>(n) *
                              static_cast<std::size_t>(max_degree - 2) / 2;
   chords.reserve(budget);
@@ -76,9 +86,9 @@ Graph make_random_bounded_degree_csr(NodeId n, int max_degree,
     if (deg[u] >= max_degree || deg[v] >= max_degree) continue;
     ++deg[u];
     ++deg[v];
-    chords.push_back(static_cast<std::uint64_t>(u) * n + v);
+    chords.emplace_back(u, v);
   }
-  return csr_from_ring_and_chords(n, chords);
+  return csr_from_ring_and_chords(n, deg, chords);
 }
 
 Graph make_torus_csr(NodeId rows, NodeId cols) {
@@ -118,7 +128,7 @@ Graph make_power_law_csr(NodeId n, double exponent, int max_degree,
     total += w[i];
   }
   std::vector<std::uint8_t> deg(n, 2);
-  std::vector<std::uint64_t> chords;
+  std::vector<Chord> chords;
   chords.reserve(static_cast<std::size_t>(total / 2.0) + 16);
   // Miller-Hagberg geometric skipping over the descending weight order:
   // for each u, walk v upward jumping Geometric(p) positions where p is a
@@ -140,13 +150,13 @@ Graph make_power_law_csr(NodeId n, double exponent, int max_degree,
           deg[u] < max_degree && deg[v] < max_degree) {
         ++deg[u];
         ++deg[v];
-        chords.push_back(static_cast<std::uint64_t>(u) * n + v);
+        chords.emplace_back(u, v);
       }
       p = q;
       ++v;
     }
   }
-  return csr_from_ring_and_chords(n, chords);
+  return csr_from_ring_and_chords(n, deg, chords);
 }
 
 }  // namespace ftcc

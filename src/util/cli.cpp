@@ -64,7 +64,7 @@ bool Cli::parse(int argc, char** argv) {
     }
     if (eq == std::string::npos) {
       if (it->second.kind == Entry::Kind::boolean) {
-        it->second.value = "1";
+        it->second.value.assign(1, '1');
       } else {
         std::fprintf(stderr, "flag --%s needs a value\n", name.c_str());
         return false;

@@ -91,6 +91,10 @@ TEST(ScaleDifferential, NamedTopologiesWithAndWithoutCrashes) {
       {make_torus(10, 10), "torus"},
       {make_star(48), "star"},
       {make_complete(24), "complete"},
+      // Δ = 64, the admission cap that sizes the batch engine's one-byte
+      // published components (K₆₅ drives them up to 32).
+      {make_star(65), "star, degree 64"},
+      {make_complete(65), "complete, degree 64"},
       {make_petersen(), "petersen"},
       {make_random_bounded_degree_csr(500, 6, 13), "random csr"},
       {make_power_law_csr(500, 2.5, 12, 13), "power-law csr"},

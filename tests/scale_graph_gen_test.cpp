@@ -87,6 +87,23 @@ std::size_t degree_violations(const Graph& g, int lo, int hi) {
   return bad;
 }
 
+/// FNV-1a 64 over offsets() and then every row in node order, each value
+/// as eight little-endian bytes: a fingerprint of the exact CSR contents,
+/// neighbour order included.
+std::uint64_t csr_digest(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3u;
+    }
+  };
+  for (const std::size_t o : g.offsets()) mix(o);
+  for (NodeId v = 0; v < g.node_count(); ++v)
+    for (const NodeId u : g.neighbors(v)) mix(u);
+  return h;
+}
+
 bool same_adjacency(const Graph& a, const Graph& b) {
   if (a.node_count() != b.node_count()) return false;
   const auto ao = a.offsets();
@@ -117,6 +134,40 @@ TEST(ScaleGraphGen, RandomCsrIsDeterministicInTheSeed) {
   EXPECT_TRUE(same_adjacency(a, b));
   const Graph c = make_random_bounded_degree_csr(kBig, 8, 8);
   EXPECT_FALSE(same_adjacency(a, c));
+}
+
+// Byte pins on the generators' exact output.  A change to how the CSR is
+// assembled, as opposed to what is sampled, must keep every row's contents
+// and order; the determinism tests above compare two calls of the same
+// code and cannot catch a reordered or dropped chord.  Both generators
+// give K₄ and K₅ at n = 4 and 5; the random sampler gets there through
+// many duplicate draws, which the assembly must remove.
+TEST(ScaleGraphGen, RandomCsrBytesArePinned) {
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(kBig, 8, 1)),
+            0x3cf20881b9db046eu);
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(kBig, 8, 2)),
+            0x5614f93844ec2554u);
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(kBig, 8, 3)),
+            0x7ece0075fc1510bbu);
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(1u << 18, 8, 1)),
+            0x807c11583063ab78u);
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(3, 8, 1)),
+            0xa80cbc5e296e9165u);
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(4, 8, 1)),
+            0xb877bdb93d462005u);
+  EXPECT_EQ(csr_digest(make_random_bounded_degree_csr(5, 8, 1)),
+            0x3b2f232cd3e91141u);
+}
+
+TEST(ScaleGraphGen, PowerLawCsrBytesArePinned) {
+  EXPECT_EQ(csr_digest(make_power_law_csr(kBig, 2.5, 12, 13)),
+            0x2c690587d98d7555u);
+  EXPECT_EQ(csr_digest(make_power_law_csr(3, 2.5, 12, 13)),
+            0xa80cbc5e296e9165u);
+  EXPECT_EQ(csr_digest(make_power_law_csr(4, 2.5, 12, 13)),
+            0xb877bdb93d462005u);
+  EXPECT_EQ(csr_digest(make_power_law_csr(5, 2.5, 12, 13)),
+            0x3b2f232cd3e91141u);
 }
 
 TEST(ScaleGraphGen, RandomCsrCapTwoIsThePureCycle) {

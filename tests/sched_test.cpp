@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <vector>
 
 namespace ftcc {
 namespace {
@@ -105,12 +107,13 @@ TEST(Staggered, DelaysWakeups) {
 }
 
 TEST(Replay, PlaysBackThenFallsThrough) {
-  ReplayScheduler s({{1}, {0, 2}, {}});
+  const std::unique_ptr<Scheduler> s = std::make_unique<ReplayScheduler>(
+      std::vector<std::vector<NodeId>>{{1}, {0, 2}, {}});
   const auto w = working_set(3);
-  EXPECT_EQ(s.next(w, 1), std::vector<NodeId>{1});
-  EXPECT_EQ(s.next(w, 2), (std::vector<NodeId>{0, 2}));
-  EXPECT_TRUE(s.next(w, 3).empty());
-  EXPECT_EQ(s.next(w, 4), w);  // past the recording: all working
+  EXPECT_EQ(s->next(w, 1), std::vector<NodeId>{1});
+  EXPECT_EQ(s->next(w, 2), (std::vector<NodeId>{0, 2}));
+  EXPECT_TRUE(s->next(w, 3).empty());
+  EXPECT_EQ(s->next(w, 4), w);  // past the recording: all working
 }
 
 TEST(Factory, AllNamesConstructible) {
