@@ -81,22 +81,24 @@ class BenchOut {
 
   [[nodiscard]] std::string to_json() const {
     const auto quote = [](const std::string& s) {
-      return "\"" + obs::json_escape(s) + "\"";
+      std::string quoted = "\"";
+      quoted.append(obs::json_escape(s)).append("\"");
+      return quoted;
     };
     std::string s = "{\"schema\":\"ftcc-bench-v1\",\"bench\":";
     s += quote(name_) + ",\"tables\":[";
     for (std::size_t t = 0; t < recorded_.size(); ++t) {
       const auto& [title, tab] = recorded_[t];
       if (t) s += ",";
-      s += "{\"title\":" + quote(title) + ",\"headers\":[";
+      s.append("{\"title\":").append(quote(title)).append(",\"headers\":[");
       for (std::size_t i = 0; i < tab.headers().size(); ++i)
-        s += (i ? "," : "") + quote(tab.headers()[i]);
+        s.append(i ? "," : "").append(quote(tab.headers()[i]));
       s += "],\"rows\":[";
       for (std::size_t r = 0; r < tab.rows().size(); ++r) {
         if (r) s += ",";
         s += "[";
         for (std::size_t i = 0; i < tab.rows()[r].size(); ++i)
-          s += (i ? "," : "") + quote(tab.rows()[r][i]);
+          s.append(i ? "," : "").append(quote(tab.rows()[r][i]));
         s += "]";
       }
       s += "]}";

@@ -23,7 +23,10 @@ struct PairColor {
   }
 
   [[nodiscard]] std::string to_string() const {
-    return "(" + std::to_string(a) + "," + std::to_string(b) + ")";
+    std::string s = "(";
+    s.append(std::to_string(a)).append(",").append(std::to_string(b));
+    s.append(")");
+    return s;
   }
 };
 

@@ -155,69 +155,56 @@ std::optional<DistFaultMode> parse_dist_fault_mode(const std::string& name) {
 }
 
 DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
-  FTCC_EXPECTS(options.n_min >= 3 && options.n_min <= options.n_max);
-  std::vector<std::string> algos =
-      options.algos.empty() ? campaign_algorithms() : options.algos;
-  for (const auto& name : algos) FTCC_EXPECTS(known_algorithm(name));
-  if (!options.artifact_dir.empty())
-    std::filesystem::create_directories(options.artifact_dir);
-  if (!options.log_dir.empty())
-    std::filesystem::create_directories(options.log_dir);
+  const std::vector<std::string>& algos = checked_algorithms(options);
+  if (!options.log_dir.empty()) {
+    std::error_code ec;  // a failed save below reports it per trial
+    std::filesystem::create_directories(options.log_dir, ec);
+  }
 
   std::ostringstream os;
   os << "ftcc-dist report v1\n";
-  os << "seed=" << options.seed << " trials=" << options.trials << " n=["
-     << options.n_min << "," << options.n_max << "] algos=";
-  for (std::size_t i = 0; i < algos.size(); ++i)
-    os << (i ? "," : "") << algos[i];
+  write_plan_header(os, options, algos);
   os << " inject=" << dist_fault_mode_name(options.inject)
      << " overlap=" << (options.overlap ? 1 : 0)
      << " max_read_attempts=" << options.max_read_attempts << "\n";
 
   struct {
-    obs::Counter* trials = nullptr;
     obs::Counter* completed = nullptr;
     obs::Counter* certified = nullptr;
     obs::Counter* violations = nullptr;
-    obs::Counter* failures = nullptr;
     obs::Counter* crashes = nullptr;
     obs::Histogram* steps = nullptr;
     obs::Histogram* events = nullptr;
-    obs::Histogram* trial_us = nullptr;
-    obs::Gauge* trials_per_sec = nullptr;
   } m;
   if (options.metrics != nullptr) {
     obs::Registry& reg = *options.metrics;
-    m.trials = &reg.counter("dist.trials");
     m.completed = &reg.counter("dist.trials.completed");
     m.certified = &reg.counter("dist.trials.certified");
     m.violations = &reg.counter("dist.trials.violations");
-    m.failures = &reg.counter("dist.trials.failures");
     m.crashes = &reg.counter("dist.nodes.crashed");
     m.steps = &reg.histogram("dist.steps");
     m.events = &reg.histogram("dist.events");
-    m.trial_us = &reg.histogram("dist.trial_us");
-    m.trials_per_sec = &reg.gauge("dist.trials_per_sec");
   }
-  obs::Stopwatch campaign_watch;
-  const std::uint64_t progress_every =
-      std::max<std::uint64_t>(options.progress_every, 1);
 
-  // Sub-seeds pre-drawn in trial order, exactly like run_campaign, so
-  // the trial stream is stable under any future change to trial count.
-  std::vector<std::uint64_t> seeds(options.trials);
-  Xoshiro256 master(options.seed);
-  for (auto& s : seeds) s = master();
-
+  // Trials run inline and in order, so the trial body may update these
+  // campaign-wide tallies directly, and the progress bridge reads them.
   DistCampaignReport report;
-  std::uint64_t ok_trials = 0;
   std::uint64_t crashed_nodes = 0;
-  for (std::uint64_t trial = 0; trial < options.trials; ++trial) {
-    obs::Stopwatch trial_watch;
+  ProgressCallback on_progress;
+  if (options.on_progress)
+    on_progress = [&](const TallyProgress& tally) {
+      options.on_progress({tally, report.completed, report.certified,
+                           report.violations, crashed_nodes});
+    };
+
+  const auto run_trial = [&](std::size_t trial, std::uint64_t seed,
+                             obs::TraceSink* trace,
+                             TrialSlot<DistCampaignFailure>& slot) {
+    const obs::Stopwatch trial_watch;
+    std::ostringstream ts;
     DistTrial cfg = generate_dist_trial(algos, options.n_min, options.n_max,
-                                        seeds[trial], options.inject);
-    const Graph graph =
-        cfg.graph_kind == "path" ? make_path(cfg.n) : make_cycle(cfg.n);
+                                        seed, options.inject);
+    const Graph graph = cfg.graph();
 
     DistOptions dopts;
     dopts.max_read_attempts = options.max_read_attempts;
@@ -229,12 +216,12 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
     // created (just) inside ex.run, so "sink time at trial start" is
     // the right additive offset.
     const std::uint64_t trial_offset_us =
-        options.trace != nullptr ? options.trace->now_us() : 0;
+        trace != nullptr ? trace->now_us() : 0;
 
     HbLog log;
     DistTelemetry telemetry;
     const bool want_telemetry =
-        options.metrics != nullptr || options.trace != nullptr;
+        options.metrics != nullptr || trace != nullptr;
     ExecutionResult<std::uint64_t> result;
     std::string runtime_error;
     const CertifyReport verdict = with_campaign_algorithm(
@@ -256,32 +243,26 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
     const std::uint64_t digest = decisions_digest(trial, result);
     report.decisions_digest ^= digest;
 
-    ++report.trials;
     if (result.completed) ++report.completed;
     if (verdict.ok()) ++report.certified;
     if (!proper) ++report.violations;
     crashed_nodes += result.fate_count(NodeFate::crashed);
-    if (m.trials) {
-      m.trials->inc();
+    if (options.metrics != nullptr) {
       if (result.completed) m.completed->inc();
       if (verdict.ok()) m.certified->inc();
       if (!proper) m.violations->inc();
       m.crashes->inc(result.fate_count(NodeFate::crashed));
       m.steps->observe(result.steps);
       m.events->observe(log.total_events());
-      m.trial_us->observe(trial_watch.elapsed_us());
-    }
-    if (options.metrics != nullptr) {
       // Per-trial metric row (gauges share the trial.NNNNN prefix):
       // enough for `tools/report diff` to localize a regression to one
       // trial and re-run it by seed.  The 64-bit seed is split into two
       // 32-bit halves because gauge values are doubles.
       obs::Registry& reg = *options.metrics;
       const std::string key = trial_key(trial);
-      reg.gauge(key + ".seed_hi")
-          .set(static_cast<double>(seeds[trial] >> 32));
+      reg.gauge(key + ".seed_hi").set(static_cast<double>(seed >> 32));
       reg.gauge(key + ".seed_lo")
-          .set(static_cast<double>(seeds[trial] & 0xffffffffu));
+          .set(static_cast<double>(seed & 0xffffffffu));
       reg.gauge(key + ".n").set(static_cast<double>(cfg.n));
       reg.gauge(key + ".steps").set(static_cast<double>(result.steps));
       reg.gauge(key + ".events")
@@ -302,25 +283,25 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
       // to the kill instant are included.
       obs::Registry& reg = *options.metrics;
       std::uint64_t dropped = 0;
-      for (const obs::SlotSnapshot& slot : telemetry.slots) {
+      for (const obs::SlotSnapshot& node_slot : telemetry.slots) {
         for (std::uint32_t c = 0; c < obs::kSlotCounters; ++c)
-          if (slot.counters[c] != 0)
+          if (node_slot.counters[c] != 0)
             reg.counter(std::string("dist.node.") + kNodeCounterNames[c])
-                .inc(slot.counters[c]);
+                .inc(node_slot.counters[c]);
         reg.histogram("dist.node.activation_ns")
-            .merge_buckets(slot.hist_buckets[obs::kSlotHistActivationNs],
-                           slot.hist_sums[obs::kSlotHistActivationNs]);
+            .merge_buckets(node_slot.hist_buckets[obs::kSlotHistActivationNs],
+                           node_slot.hist_sums[obs::kSlotHistActivationNs]);
         reg.histogram("dist.node.read_ns")
-            .merge_buckets(slot.hist_buckets[obs::kSlotHistReadNs],
-                           slot.hist_sums[obs::kSlotHistReadNs]);
-        dropped += slot.spans_written - slot.spans.size();
+            .merge_buckets(node_slot.hist_buckets[obs::kSlotHistReadNs],
+                           node_slot.hist_sums[obs::kSlotHistReadNs]);
+        dropped += node_slot.spans_written - node_slot.spans.size();
       }
       if (dropped != 0) reg.counter("dist.node.spans_dropped").inc(dropped);
     }
-    if (options.trace != nullptr && telemetry.enabled) {
+    if (trace != nullptr && telemetry.enabled) {
       // Merge this trial's harvested span tracks into the campaign
       // trace: one process lane per trial, one thread lane per node.
-      obs::TraceSink& sink = *options.trace;
+      obs::TraceSink& sink = *trace;
       const std::uint64_t pid = trial + 1;
       sink.process_name(
           pid, "trial " + std::to_string(trial) + " algo=" + cfg.algo + " " +
@@ -368,7 +349,7 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
                         to_us(marker.at_ns));
     }
 
-    os << "trial " << trial << " algo=" << cfg.algo
+    ts << "trial " << trial << " algo=" << cfg.algo
        << " graph=" << cfg.graph_kind << " n=" << cfg.n
        << " ids=" << cfg.ids_family << " wrapped=" << (cfg.wrapped ? 1 : 0)
        << " sched=" << cfg.sched_name << " faults=["
@@ -408,50 +389,27 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
       artifact.verdict = failure_verdict;
       failure.artifact = artifact;
       if (!options.artifact_dir.empty()) {
-        failure.path = options.artifact_dir + "/dist-" +
-                       std::to_string(trial) + ".eventlog";
-        if (save_event_log(failure.path, failure.artifact)) {
-          os << "witness trial " << trial << ": " << failure.path << "\n";
-        } else {
-          os << "warning trial " << trial << ": could not save witness to "
-             << failure.path << "\n";
-          failure.path.clear();
-        }
+        const auto error = save_witness(options.artifact_dir, failure);
+        ts << (error ? "warning: " + *error : witness_line(failure)) << "\n";
       }
-      if (m.failures) m.failures->inc();
-      os << "FAIL trial " << trial << " " << failure_verdict << "\n";
-      report.failures.push_back(std::move(failure));
-    } else {
-      ++ok_trials;
+      ts << "FAIL trial " << trial << " " << failure_verdict << "\n";
+      slot.failure = std::move(failure);
     }
     if (!options.log_dir.empty()) {
       const std::string path =
           options.log_dir + "/trial-" + std::to_string(trial) + ".eventlog";
       if (!save_event_log(path, artifact))
-        os << "warning trial " << trial << ": could not save log to " << path
+        ts << "warning trial " << trial << ": could not save log to " << path
            << "\n";
     }
-    if (options.on_progress &&
-        ((trial + 1) % progress_every == 0 || trial + 1 == options.trials)) {
-      DistCampaignProgress progress;
-      progress.done = trial + 1;
-      progress.total = options.trials;
-      progress.ok = ok_trials;
-      progress.failures = report.failures.size();
-      progress.completed = report.completed;
-      progress.certified = report.certified;
-      progress.violations = report.violations;
-      progress.crashed_nodes = crashed_nodes;
-      options.on_progress(progress);
-    }
-  }
+    slot.text = ts.str();
+  };
+  TrialCounts<DistCampaignFailure> counts =
+      run_trials<DistCampaignFailure>(options, 1, on_progress, "dist", os,
+                                      run_trial);
 
-  if (m.trials_per_sec) {
-    const std::uint64_t campaign_us = campaign_watch.elapsed_us();
-    if (campaign_us > 0)
-      m.trials_per_sec->set(static_cast<double>(report.trials) * 1e6 /
-                            static_cast<double>(campaign_us));
-  }
+  report.trials = options.trials;
+  report.failures = std::move(counts.failures);
   os << "summary trials=" << report.trials << " completed=" << report.completed
      << " certified=" << report.certified
      << " violations=" << report.violations
@@ -459,37 +417,6 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
      << " digest=" << report.decisions_digest << "\n";
   report.text = os.str();
   return report;
-}
-
-bool persist_dist_witnesses(DistCampaignReport& report,
-                            const std::string& fallback_dir,
-                            std::vector<std::string>& lines,
-                            std::string* error) {
-  bool created = false;
-  for (DistCampaignFailure& failure : report.failures) {
-    if (!failure.path.empty()) continue;
-    if (!created) {
-      std::error_code ec;
-      std::filesystem::create_directories(fallback_dir, ec);
-      if (ec) {
-        if (error)
-          *error = "cannot create witness directory '" + fallback_dir +
-                   "': " + ec.message();
-        return false;
-      }
-      created = true;
-    }
-    failure.path = fallback_dir + "/dist-" + std::to_string(failure.trial) +
-                   ".eventlog";
-    if (!save_event_log(failure.path, failure.artifact)) {
-      if (error) *error = "cannot write witness '" + failure.path + "'";
-      failure.path.clear();
-      return false;
-    }
-    lines.push_back("witness trial " + std::to_string(failure.trial) + ": " +
-                    failure.path);
-  }
-  return true;
 }
 
 }  // namespace ftcc::dist

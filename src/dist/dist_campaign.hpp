@@ -7,11 +7,13 @@
 // serialises activations (supervisor.hpp), the *decisions* are too: the
 // same seed reproduces a byte-identical report, kill -9s and all.
 //
-// Unlike the other campaigns there is no `jobs` knob: DistExecutor
-// fork()s, and forking from a multi-threaded process is undefined
-// enough in practice (only the calling thread survives; locks held by
-// the others stay locked forever in the child) that trials run strictly
-// sequentially in the supervisor process.
+// Trials run through the same kernel as the other campaigns
+// (runtime/parallel.hpp), but always at jobs = 1: DistExecutor fork()s,
+// and forking from a multi-threaded process is undefined enough in
+// practice (only the calling thread survives; locks held by the others
+// stay locked forever in the child) that trials run strictly
+// sequentially in the supervisor process.  At jobs = 1 the WorkerPool
+// runs every trial inline on the caller, so no thread exists at fork().
 #pragma once
 
 #include <cstdint>
@@ -23,8 +25,8 @@
 #include "analysis/hb/event_log.hpp"
 #include "fuzz/campaign.hpp"
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "runtime/parallel.hpp"
+#include "util/artifacts.hpp"
 
 namespace ftcc::dist {
 
@@ -51,27 +53,30 @@ enum class DistFaultMode : std::uint8_t {
     const std::string& name);
 
 /// Running tallies handed to DistCampaignOptions::on_progress: the
-/// generic CampaignProgress fields plus the dist-specific verdict
-/// counters, so `tools/dist --follow` can stream certify pass rates
-/// without waiting for the final report.
-struct DistCampaignProgress {
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t failures = 0;
+/// kernel's tallies plus the dist-specific verdict counters, so
+/// `tools/dist --follow` can stream certify pass rates without waiting
+/// for the final report.  `censored` stays 0: dist trials never censor.
+struct DistCampaignProgress : TallyProgress {
   std::uint64_t completed = 0;      ///< trials where every node resolved
   std::uint64_t certified = 0;      ///< trials the HB certifier accepted
   std::uint64_t violations = 0;     ///< improper colorings so far
   std::uint64_t crashed_nodes = 0;  ///< SIGKILLed node processes so far
 };
 
-struct DistCampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 100;
-  NodeId n_min = 3;
-  NodeId n_max = 8;
-  /// Subset of campaign_algorithms(); empty = all five.
-  std::vector<std::string> algos;
+/// The shared fields come from CampaignPlan; this campaign defaults to
+/// 100 trials on n in [3, 8] with progress every 100 trials.  There is
+/// no worker count: every trial runs inline (see the header comment).
+/// `trace`, when set, receives every trial's crash-surviving shm
+/// telemetry (harvested from the obs::ShmMetricsRegion after teardown,
+/// SIGKILLs included), merged into one Chrome trace: pid = trial + 1,
+/// tid = node.
+struct DistCampaignOptions : CampaignPlan {
+  DistCampaignOptions() {
+    trials = 100;
+    n_min = 3;
+    n_max = 8;
+    progress_every = 100;
+  }
   /// Directory for failure witnesses; empty = keep them in memory only.
   std::string artifact_dir;
   /// When set, save EVERY trial's event log here as trial-<N>.eventlog
@@ -83,22 +88,20 @@ struct DistCampaignOptions {
   /// Overlapped activation delivery (real races; decisions stay checked
   /// but per-trial reports are no longer byte-reproducible).
   bool overlap = false;
-  obs::Registry* metrics = nullptr;
-  /// When set, every trial's crash-surviving shm telemetry (harvested
-  /// from the obs::ShmMetricsRegion after teardown, SIGKILLs included)
-  /// is merged into one Chrome trace: pid = trial + 1, tid = node.
-  obs::TraceSink* trace = nullptr;
   std::function<void(const DistCampaignProgress&)> on_progress;
-  std::uint64_t progress_every = 100;
 };
 
 struct DistCampaignFailure {
+  static constexpr WitnessName kWitness{"dist", ".eventlog", "witness"};
   std::uint64_t trial = 0;
   /// "[invariant] ..." for an improper coloring, "[kind] message" for a
   /// certification violation, "[runtime] ..." for a supervisor error.
   std::string verdict;
-  std::string path;  ///< witness file; empty if artifact_dir unset
+  std::string path;  ///< witness file; empty until saved
   EventLogArtifact artifact;
+  [[nodiscard]] bool save(const std::string& to) const {
+    return save_event_log(to, artifact);
+  }
 };
 
 struct DistCampaignReport {
@@ -116,14 +119,5 @@ struct DistCampaignReport {
 
 [[nodiscard]] DistCampaignReport run_dist_campaign(
     const DistCampaignOptions& options);
-
-/// Ensure every failure has an on-disk witness; failures whose path is
-/// still empty are saved into `fallback_dir` (created if needed).  On an
-/// unwritable destination, stops and reports via `error` (false return)
-/// instead of aborting — campaigns must not die on a full disk.
-[[nodiscard]] bool persist_dist_witnesses(DistCampaignReport& report,
-                                          const std::string& fallback_dir,
-                                          std::vector<std::string>& lines,
-                                          std::string* error);
 
 }  // namespace ftcc::dist

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 
@@ -13,9 +12,8 @@
 #include "fuzz/dispatch.hpp"
 #include "graph/chains.hpp"
 #include "fuzz/recording_scheduler.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/worker_pool.hpp"
 #include "sched/adversary_search.hpp"
+#include "util/artifacts.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -96,12 +94,6 @@ RecordedRun run_recorded(A algo, const Graph& graph, const IdAssignment& ids,
   run.fates = result.fates;
   run.activations = result.activations;
   return run;
-}
-
-/// Local alias for the shared dispatcher (fuzz/dispatch.hpp).
-template <typename F>
-auto with_algorithm(const std::string& name, bool wrapped, F&& f) {
-  return with_campaign_algorithm(name, wrapped, std::forward<F>(f));
 }
 
 /// Compact per-node fate tally for report lines: "5t/1c/0d/0x".
@@ -266,12 +258,28 @@ bool known_algorithm(const std::string& name) {
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
+const std::vector<std::string>& checked_algorithms(const CampaignPlan& plan) {
+  FTCC_EXPECTS(plan.n_min >= 3 && plan.n_min <= plan.n_max);
+  const std::vector<std::string>& algos =
+      plan.algos.empty() ? campaign_algorithms() : plan.algos;
+  for (const auto& name : algos) FTCC_EXPECTS(known_algorithm(name));
+  return algos;
+}
+
+void write_plan_header(std::ostream& os, const CampaignPlan& plan,
+                       const std::vector<std::string>& algos) {
+  os << "seed=" << plan.seed << " trials=" << plan.trials << " n=["
+     << plan.n_min << "," << plan.n_max << "] algos=";
+  for (std::size_t i = 0; i < algos.size(); ++i)
+    os << (i ? "," : "") << algos[i];
+}
+
 std::string replay_violation(const ScheduleArtifact& artifact,
                              InjectedFault inject) {
   FTCC_EXPECTS(known_algorithm(artifact.algo));
   const Graph graph = artifact.graph();
   const FaultPlan faults = artifact.fault_plan();
-  return with_algorithm(
+  return with_campaign_algorithm(
       artifact.algo, artifact.wrapped,
       [&](auto algo, std::uint64_t bound, bool ordered) -> std::string {
         auto& ex = pooled_executor(std::move(algo), graph, artifact.ids,
@@ -286,102 +294,45 @@ std::string replay_violation(const ScheduleArtifact& artifact,
 }
 
 CampaignReport run_campaign(const CampaignOptions& options) {
-  FTCC_EXPECTS(options.n_min >= 3 && options.n_min <= options.n_max);
-  std::vector<std::string> algos =
-      options.algos.empty() ? campaign_algorithms() : options.algos;
-  for (const auto& name : algos) FTCC_EXPECTS(known_algorithm(name));
-
-  if (!options.artifact_dir.empty())
-    std::filesystem::create_directories(options.artifact_dir);
-
+  const std::vector<std::string>& algos = checked_algorithms(options);
   std::ostringstream out;
   out << "ftcc-fuzz report v1\n";
-  out << "seed=" << options.seed << " trials=" << options.trials << " n=["
-      << options.n_min << "," << options.n_max << "] algos=";
-  for (std::size_t i = 0; i < algos.size(); ++i)
-    out << (i ? "," : "") << algos[i];
+  write_plan_header(out, options, algos);
   out << " inject="
       << (options.inject == InjectedFault::none ? "none" : "no-termination")
       << " faults=" << fault_mode_name(options.fault_mode)
       << " wrap=" << (options.wrap ? 1 : 0)
       << " shrink=" << (options.shrink ? 1 : 0) << "\n";
 
-  // Resolved observability handles (a null registry leaves them all null;
-  // each use is one branch).  Nothing below feeds back into the campaign.
+  // Resolved observability handles beyond the kernel's (a null registry
+  // leaves them all null; each use is one branch).  Nothing below feeds
+  // back into the campaign.
   struct {
-    obs::Counter* trials = nullptr;
     obs::Counter* ok = nullptr;
     obs::Counter* censored = nullptr;
-    obs::Counter* failures = nullptr;
     obs::Counter* shrink_checks = nullptr;
-    obs::Histogram* trial_us = nullptr;
     obs::Histogram* trial_steps = nullptr;
     obs::Histogram* lemma39_headroom = nullptr;
-    obs::Gauge* trials_per_sec = nullptr;
   } m;
   if (options.metrics != nullptr) {
     obs::Registry& reg = *options.metrics;
-    m.trials = &reg.counter("fuzz.trials");
     m.ok = &reg.counter("fuzz.trials.ok");
     m.censored = &reg.counter("fuzz.trials.censored");
-    m.failures = &reg.counter("fuzz.trials.failures");
     m.shrink_checks = &reg.counter("fuzz.shrink.checks");
-    m.trial_us = &reg.histogram("fuzz.trial_us");
     m.trial_steps = &reg.histogram("fuzz.trial_steps");
     m.lemma39_headroom = &reg.histogram("fuzz.lemma39_headroom");
-    m.trials_per_sec = &reg.gauge("fuzz.trials_per_sec");
   }
-  obs::Stopwatch campaign_watch;
-  const std::uint64_t progress_every =
-      std::max<std::uint64_t>(options.progress_every, 1);
 
-  // Pre-draw every trial's sub-seed in trial order — the exact stream the
-  // sequential loop consumed — so the worker count has no effect on which
-  // trials run or on anything they draw.
-  std::vector<std::uint64_t> seeds(options.trials);
-  Xoshiro256 master(options.seed);
-  for (auto& s : seeds) s = master();
-
-  // Every trial owns a report chunk, an outcome kind, and a failure slot;
-  // the merge after the pool joins concatenates them in trial order, which
-  // makes the report (and the failure list) byte-identical for any jobs.
-  struct TrialOutcome {
-    std::string text;
-    TrialTally::Outcome kind = TrialTally::Outcome::ok;
-    std::optional<CampaignFailure> failure;
-  };
-  std::vector<TrialOutcome> outcomes(options.trials);
-
-  std::function<void(const TallyProgress&)> tally_cb;
-  if (options.on_progress)
-    tally_cb = [&options](const TallyProgress& p) {
-      options.on_progress({p.done, p.total, p.ok, p.censored, p.failures});
-    };
-  TrialTally tally(options.trials, progress_every, std::move(tally_cb));
-
-  WorkerPool pool(options.jobs);
-  obs::PoolMetrics pool_metrics;
-  if (options.metrics != nullptr) {
-    pool_metrics = obs::PoolMetrics::create(*options.metrics, "fuzz.pool");
-    pool.attach_metrics(&pool_metrics);
-  }
-  // The TraceSink is single-threaded by design (obs/span.hpp), so spans
-  // reach it only when the pool is too; the duration histograms are
-  // relaxed-atomic and safe from every worker.
-  obs::TraceSink* trace = pool.jobs() == 1 ? options.trace : nullptr;
-
-  CampaignReport report;
-  const auto run_trial = [&](std::size_t trial, unsigned /*worker*/) {
-    obs::Span trial_span(trace, "fuzz.trial", "fuzz", m.trial_us);
-    TrialOutcome& slot = outcomes[trial];
+  const auto run_trial = [&](std::size_t trial, std::uint64_t seed,
+                             obs::TraceSink* trace,
+                             TrialSlot<CampaignFailure>& slot) {
     std::ostringstream os;
     TrialConfig cfg = generate_trial(algos, options.n_min, options.n_max,
-                                     seeds[trial], options.fault_mode);
+                                     seed, options.fault_mode);
     const std::uint64_t budget = linear_step_budget(cfg.n);
-    const Graph graph =
-        cfg.graph_kind == "path" ? make_path(cfg.n) : make_cycle(cfg.n);
+    const Graph graph = cfg.graph();
 
-    RecordedRun run = with_algorithm(
+    RecordedRun run = with_campaign_algorithm(
         cfg.algo, options.wrap,
         [&](auto algo, std::uint64_t bound, bool ordered) {
           return run_recorded(std::move(algo), graph, cfg.ids, cfg.faults,
@@ -389,10 +340,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                               options.inject);
         });
 
-    if (m.trials) {
-      m.trials->inc();
-      m.trial_steps->observe(run.steps);
-    }
+    if (m.trial_steps) m.trial_steps->observe(run.steps);
     os << "trial " << trial << " algo=" << cfg.algo
        << " graph=" << cfg.graph_kind << " n=" << cfg.n
        << " ids=" << cfg.ids_family << " sched=" << cfg.sched_family
@@ -422,7 +370,6 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       failure.violation = *run.violation;
       failure.original_n = witness.n;
       failure.original_steps = witness.sigmas.size();
-      if (m.failures) m.failures->inc();
       if (options.shrink) {
         obs::Span shrink_span(trace, "fuzz.shrink", "fuzz");
         ShrinkOptions shrink_options;
@@ -445,22 +392,12 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         failure.shrink.artifact = std::move(witness);
       }
       if (!options.artifact_dir.empty()) {
-        failure.path = options.artifact_dir + "/fail-" +
-                       std::to_string(trial) + ".sched";
-        if (save_schedule(failure.path, failure.shrink.artifact)) {
-          os << "artifact trial " << trial << ": " << failure.path << "\n";
-        } else {
-          // Losing an artifact must not kill the campaign mid-run; clear
-          // the path so the fallback persist pass gets another chance.
-          os << "warning: cannot save artifact trial " << trial << ": "
-             << failure.path << "\n";
-          failure.path.clear();
-        }
+        const auto error = save_witness(options.artifact_dir, failure);
+        os << (error ? "warning: " + *error : witness_line(failure)) << "\n";
       }
-      slot.kind = TrialTally::Outcome::failed;
       slot.failure = std::move(failure);
     } else if (!run.completed) {
-      slot.kind = TrialTally::Outcome::censored;
+      slot.censored = true;
       if (m.censored) m.censored->inc();
       os << "censored budget=" << budget << " fates=" << format_fates(run.fates);
       os << " timed_out=";
@@ -473,7 +410,6 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         }
       os << "\n";
     } else {
-      slot.kind = TrialTally::Outcome::ok;
       if (m.ok) m.ok->inc();
       // Per-node headroom against the Lemma 3.9 activation bound
       // min{3ℓ, 3ℓ′, ℓ+ℓ′}+4, meaningful exactly for clean Algorithm 1
@@ -497,59 +433,21 @@ CampaignReport run_campaign(const CampaignOptions& options) {
          << " fates=" << format_fates(run.fates) << "\n";
     }
     slot.text = os.str();
-    tally.record(slot.kind);
   };
-  pool.run(options.trials, run_trial);
+  TrialCounts<CampaignFailure> counts =
+      run_trials<CampaignFailure>(options, options.jobs, options.on_progress,
+                                  "fuzz", out, run_trial);
 
-  // Deterministic merge: concatenate the per-trial chunks and drain the
-  // failure slots in trial order — exactly what the sequential loop
-  // emitted, whatever worker ran whatever trial.
-  for (TrialOutcome& slot : outcomes) {
-    ++report.trials;
-    out << slot.text;
-    switch (slot.kind) {
-      case TrialTally::Outcome::ok: ++report.ok; break;
-      case TrialTally::Outcome::censored: ++report.censored; break;
-      case TrialTally::Outcome::failed:
-        report.failures.push_back(std::move(*slot.failure));
-        break;
-    }
-  }
-  if (m.trials_per_sec) {
-    const std::uint64_t campaign_us = campaign_watch.elapsed_us();
-    if (campaign_us > 0)
-      m.trials_per_sec->set(static_cast<double>(report.trials) * 1e6 /
-                            static_cast<double>(campaign_us));
-  }
+  CampaignReport report;
+  report.trials = options.trials;
+  report.ok = counts.ok;
+  report.censored = counts.censored;
+  report.failures = std::move(counts.failures);
   out << "summary trials=" << report.trials << " ok=" << report.ok
       << " censored=" << report.censored
       << " failures=" << report.failures.size() << "\n";
   report.text = out.str();
   return report;
-}
-
-std::vector<std::string> persist_failure_artifacts(
-    CampaignReport& report, const std::string& fallback_dir) {
-  std::vector<std::string> lines;
-  bool created = false;
-  for (CampaignFailure& failure : report.failures) {
-    if (!failure.path.empty()) continue;  // already saved by the campaign
-    if (!created) {
-      std::filesystem::create_directories(fallback_dir);
-      created = true;
-    }
-    failure.path = fallback_dir + "/fail-" + std::to_string(failure.trial) +
-                   ".sched";
-    if (save_schedule(failure.path, failure.shrink.artifact)) {
-      lines.push_back("artifact trial " + std::to_string(failure.trial) +
-                      ": " + failure.path);
-    } else {
-      lines.push_back("warning: cannot save artifact trial " +
-                      std::to_string(failure.trial) + ": " + failure.path);
-      failure.path.clear();
-    }
-  }
-  return lines;
 }
 
 }  // namespace ftcc

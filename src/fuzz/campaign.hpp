@@ -14,14 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "fuzz/schedule_io.hpp"
 #include "fuzz/shrink.hpp"
-#include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "runtime/parallel.hpp"
+#include "util/artifacts.hpp"
 
 namespace ftcc {
 
@@ -55,30 +55,19 @@ enum class FaultMode {
 }
 
 /// Running tallies handed to CampaignOptions::on_progress.
-struct CampaignProgress {
-  std::uint64_t done = 0;
-  std::uint64_t total = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t censored = 0;
-  std::uint64_t failures = 0;
-};
+using CampaignProgress = TallyProgress;
 
-struct CampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 200;
-  /// Worker threads (runtime/worker_pool.hpp).  1 = the sequential loop,
-  /// inline on the caller.  Any value yields byte-identical reports and
-  /// identical shrunk witnesses: trial sub-seeds are pre-drawn from the
-  /// master stream in trial order, every trial writes its own report
-  /// chunk and failure slot, and the merge concatenates in trial order
-  /// (the determinism contract tests/fuzz_parallel_test.cpp pins).
+/// The schedule campaign's options.  The shared fields come from
+/// CampaignPlan, whose defaults are this campaign's: 200 trials on n in
+/// [4, 24].
+struct CampaignOptions : CampaignPlan {
+  /// Worker threads (runtime/worker_pool.hpp); 1 = the sequential loop.
+  /// Any value yields byte-identical reports and identical shrunk
+  /// witnesses (the contract tests/fuzz_parallel_test.cpp pins).
   unsigned jobs = 1;
-  NodeId n_min = 4;
-  NodeId n_max = 24;
-  /// Subset of campaign_algorithms(); empty = all five.
-  std::vector<std::string> algos;
   /// Directory for failure artifacts; empty = keep them in memory only.
   std::string artifact_dir;
+  ProgressCallback on_progress;
   bool shrink = true;
   InjectedFault inject = InjectedFault::none;
   /// Real fault classes to draw per trial (beyond crash-stop).
@@ -90,27 +79,21 @@ struct CampaignOptions {
   bool wrap = false;
   /// Predicate-evaluation budget per shrink (each check is a replay).
   std::uint64_t shrink_checks = 20'000;
-  /// Observability (DESIGN.md §9), all optional.  Metrics and trace spans
-  /// record what the campaign did — they never feed a decision, and the
-  /// deterministic report text stays byte-identical whether or not they
-  /// are attached.  Both must outlive run_campaign().
-  obs::Registry* metrics = nullptr;
-  obs::TraceSink* trace = nullptr;
-  /// Called after every `progress_every`-th trial and after the last one
-  /// (tools/fuzz uses this for its TTY progress line).
-  std::function<void(const CampaignProgress&)> on_progress;
-  std::uint64_t progress_every = 500;
 };
 
 struct CampaignFailure {
+  static constexpr WitnessName kWitness{"fail", ".sched", "artifact"};
   std::uint64_t trial = 0;
   std::string violation;
   /// Pre-shrink witness dimensions (the shrunk witness is in `shrink`).
   NodeId original_n = 0;
   std::uint64_t original_steps = 0;
   ShrinkResult shrink;
-  /// Where the (shrunk) artifact was saved; empty if artifact_dir unset.
+  /// Where the (shrunk) artifact was saved; empty until it is.
   std::string path;
+  [[nodiscard]] bool save(const std::string& to) const {
+    return save_schedule(to, shrink.artifact);
+  }
 };
 
 struct CampaignReport {
@@ -129,6 +112,17 @@ struct CampaignReport {
 [[nodiscard]] const std::vector<std::string>& campaign_algorithms();
 [[nodiscard]] bool known_algorithm(const std::string& name);
 
+/// The algorithms a campaign draws from: plan.algos, or all five when it
+/// is empty (valid while `plan` is).  Expects 3 <= n_min <= n_max and
+/// known names.
+[[nodiscard]] const std::vector<std::string>& checked_algorithms(
+    const CampaignPlan& plan);
+
+/// The header fields fuzz, certify and dist reports share:
+/// "seed=S trials=T n=[a,b] algos=x,y".
+void write_plan_header(std::ostream& os, const CampaignPlan& plan,
+                       const std::vector<std::string>& algos);
+
 /// Replay an artifact with the applicable monitors (plus any injected
 /// fault) installed, running exactly the recorded steps under the
 /// artifact's fault plan (and, if artifact.wrapped, under Recovering<>).
@@ -139,14 +133,5 @@ struct CampaignReport {
     InjectedFault inject = InjectedFault::none);
 
 [[nodiscard]] CampaignReport run_campaign(const CampaignOptions& options);
-
-/// Ensure every failure has an on-disk replay artifact: failures whose
-/// path is still empty (the campaign ran without an artifact_dir) are
-/// saved into `fallback_dir`, which is created if needed.  Returns one
-/// "artifact trial N: path" line per newly saved artifact — tools/fuzz
-/// prints these so a failing run always names its replay files, even when
-/// --out was never passed (e.g. `--inject=corrupt --raw` demos).
-[[nodiscard]] std::vector<std::string> persist_failure_artifacts(
-    CampaignReport& report, const std::string& fallback_dir);
 
 }  // namespace ftcc

@@ -19,6 +19,7 @@
 #include "core/algo4_general_graph.hpp"
 #include "core/algo5_fast_six_coloring.hpp"
 #include "core/recovering.hpp"
+#include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -53,6 +54,10 @@ struct TrialShape {
   NodeId n = 0;
   IdAssignment ids;
   std::string ids_family;
+
+  [[nodiscard]] Graph graph() const {
+    return graph_kind == "path" ? make_path(n) : make_cycle(n);
+  }
 };
 
 /// Draw a trial's shape, the first draws of its trial stream.  Every

@@ -160,9 +160,12 @@ const std::map<std::string, std::vector<std::string>>& layering_rules() {
       {"dist", {"fuzz", "analysis", "sched", "faults", "runtime", "graph",
                 "obs", "util"}},
       // The batch engine consumes the algorithms (core) and replays the
-      // sequential executor's contract (runtime, faults); no sched — its
-      // synchronous schedule is implicit in the frontier bitmap.
-      {"scale", {"core", "faults", "runtime", "graph", "obs", "util"}},
+      // sequential executor's contract (runtime, faults).  Its own
+      // synchronous schedule is implicit in the frontier bitmap; only the
+      // differential campaign needs sched, for the sequential side's
+      // SynchronousScheduler.
+      {"scale", {"core", "faults", "runtime", "graph", "obs", "sched",
+                 "util"}},
       {"lint", {"util"}},
   };
   return rules;

@@ -48,6 +48,16 @@ PoolMetrics PoolMetrics::create(Registry& reg, const std::string& prefix) {
   return m;
 }
 
+TrialMetrics TrialMetrics::create(Registry& reg, const std::string& prefix) {
+  TrialMetrics m;
+  m.trials = &reg.counter(prefix + ".trials");
+  m.failures = &reg.counter(prefix + ".trials.failures");
+  m.trial_us = &reg.histogram(prefix + ".trial_us");
+  m.trials_per_sec = &reg.gauge(prefix + ".trials_per_sec");
+  m.pool = PoolMetrics::create(reg, prefix + ".pool");
+  return m;
+}
+
 McMetrics McMetrics::create(Registry& reg, const std::string& prefix) {
   McMetrics m;
   m.states = &reg.counter(prefix + ".states");

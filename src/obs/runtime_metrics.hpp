@@ -80,6 +80,19 @@ struct PoolMetrics {
   static PoolMetrics create(Registry& reg, const std::string& prefix = "pool");
 };
 
+/// The campaign kernel's shared metrics (runtime/parallel.hpp, DESIGN.md
+/// §10): trials run and failed, per-trial wall time, throughput, and the
+/// kernel's WorkerPool, all under the campaign's prefix.
+struct TrialMetrics {
+  Counter* trials = nullptr;
+  Counter* failures = nullptr;
+  Histogram* trial_us = nullptr;
+  Gauge* trials_per_sec = nullptr;
+  PoolMetrics pool;
+
+  static TrialMetrics create(Registry& reg, const std::string& prefix);
+};
+
 /// Model-checker instrumentation (DESIGN.md §11).  states counts stored
 /// (interned) configurations and transitions explored edges; store_entries
 /// and store_bytes/bytes_per_state describe the tree-compressed visited

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "core/algo4_general_graph.hpp"
@@ -9,26 +10,15 @@
 #include "faults/fault_plan.hpp"
 #include "graph/ids.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/scheduler.hpp"
 #include "scale/batch_executor.hpp"
 #include "scale/graph_gen.hpp"
+#include "sched/schedulers.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace ftcc {
 
 namespace {
-
-/// The synchronous full-coverage adversary: σ(t) = every working node.
-/// This is the schedule class BatchExecutor implements, so it is the one
-/// the differential contract quantifies over.
-class EveryoneScheduler final : public Scheduler {
- public:
-  std::vector<NodeId> next(std::span<const NodeId> working,
-                           std::uint64_t /*t*/) override {
-    return {working.begin(), working.end()};
-  }
-};
 
 std::string color_or_bottom(const std::optional<PairColor>& c) {
   return c ? c->to_string() : "_";
@@ -74,7 +64,9 @@ std::optional<std::string> run_pair(const Graph& g, const IdAssignment& ids,
                                     const CrashPlan& plan,
                                     std::uint64_t max_steps) {
   Executor<A> seq(A{}, g, ids, FaultPlan(plan));
-  EveryoneScheduler sched;
+  // σ(t) = every working node: the schedule class BatchExecutor
+  // implements, so the one the differential contract quantifies over.
+  SynchronousScheduler sched;
   const auto seq_result = seq.run(sched, max_steps);
   BatchExecutor<A> batch(g, ids, plan);
   const auto batch_result = batch.run(max_steps);
@@ -203,40 +195,35 @@ BatchCampaignReport run_batch_campaign(const BatchCampaignOptions& options) {
   if (algos.empty()) algos = batch_algorithms();
   for (const auto& a : algos) FTCC_EXPECTS(known_batch_algorithm(a));
 
+  std::ostringstream out;
+  out << "batch differential campaign seed=" << options.seed
+      << " trials=" << options.trials << " n=" << options.n_min << ".."
+      << options.n_max << " algos=";
+  for (std::size_t i = 0; i < algos.size(); ++i)
+    out << (i ? "," : "") << algos[i];
+  out << "\n";
+
+  const auto trial = [&](std::size_t index, std::uint64_t seed,
+                         obs::TraceSink* /*trace*/,
+                         TrialSlot<BatchMismatch>& slot) {
+    std::optional<std::string> mismatch;
+    slot.text = run_trial(index, seed, options.n_min, options.n_max, algos,
+                          mismatch);
+    slot.text += "\n";
+    if (mismatch) slot.failure = BatchMismatch{index, *mismatch};
+  };
+  TrialCounts<BatchMismatch> counts =
+      run_trials<BatchMismatch>(options, options.jobs, options.on_progress,
+                                "batch.diff", out, trial);
+
   BatchCampaignReport report;
   report.trials = options.trials;
-  report.text = "batch differential campaign seed=" +
-                std::to_string(options.seed) +
-                " trials=" + std::to_string(options.trials) +
-                " n=" + std::to_string(options.n_min) + ".." +
-                std::to_string(options.n_max) + " algos=";
-  for (std::size_t i = 0; i < algos.size(); ++i)
-    report.text += (i ? "," : "") + algos[i];
-  report.text += "\n";
-
-  // Trial sub-seeds are pre-drawn from the master stream in trial order,
-  // the same replayability idiom as the fuzz campaign.
-  Xoshiro256 master(options.seed);
-  std::vector<std::uint64_t> sub_seeds(options.trials);
-  for (auto& s : sub_seeds) s = master();
-
-  for (std::uint64_t t = 0; t < options.trials; ++t) {
-    std::optional<std::string> mismatch;
-    report.text += run_trial(t, sub_seeds[t], options.n_min, options.n_max,
-                             algos, mismatch);
-    report.text += "\n";
-    if (mismatch)
-      report.mismatches.push_back({t, *mismatch});
-    else
-      ++report.ok;
-  }
-  report.text += "summary: trials=" + std::to_string(report.trials) +
-                 " ok=" + std::to_string(report.ok) +
-                 " mismatches=" + std::to_string(report.mismatches.size()) +
-                 "\n";
-
+  report.ok = counts.ok;
+  report.mismatches = std::move(counts.failures);
+  out << "summary: trials=" << report.trials << " ok=" << report.ok
+      << " mismatches=" << report.mismatches.size() << "\n";
+  report.text = out.str();
   if (options.metrics) {
-    options.metrics->counter("batch.diff.trials").inc(report.trials);
     options.metrics->counter("batch.diff.ok").inc(report.ok);
     options.metrics->counter("batch.diff.mismatches")
         .inc(report.mismatches.size());

@@ -8,31 +8,28 @@
 // is a bug in the batch kernels, reported with enough detail to replay
 // (trial sub-seed, topology, first differing node).
 //
-// Like the fuzz campaign, two runs with the same options produce
-// byte-identical report text.  tools/fuzz exposes this behind --batched.
+// Like the fuzz campaign, it runs on the campaign kernel
+// (runtime/parallel.hpp): two runs with the same options produce
+// byte-identical report text for any jobs value.  tools/fuzz exposes
+// this behind --batched.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
-#include "obs/metrics.hpp"
+#include "runtime/parallel.hpp"
 
 namespace ftcc {
 
-struct BatchCampaignOptions {
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 200;
-  NodeId n_min = 4;
-  /// Kept modest by default: the sequential replay is the bottleneck, and
-  /// the differential contract is asserted for graphs up to 10³ nodes.
-  NodeId n_max = 192;
-  /// Subset of batch_algorithms(); empty = both.
-  std::vector<std::string> algos;
-  /// Optional counters (batch.diff.trials / ok / mismatches); reports are
-  /// byte-identical whether or not a registry is attached.
-  obs::Registry* metrics = nullptr;
+/// The shared fields come from CampaignPlan.  n_max defaults to a modest
+/// 192: the sequential replay is the bottleneck, and the differential
+/// contract is asserted for graphs up to 10³ nodes.
+struct BatchCampaignOptions : CampaignPlan {
+  BatchCampaignOptions() { n_max = 192; }
+  /// Worker threads; any value yields the same report bytes.
+  unsigned jobs = 1;
+  ProgressCallback on_progress;
 };
 
 struct BatchMismatch {

@@ -1,11 +1,39 @@
 #include "util/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "util/assert.hpp"
 
 namespace ftcc {
+
+namespace {
+
+/// All decimal digits (no sign, no space) and no more than 2^64 - 1.
+bool valid_u64(const std::string& value) {
+  if (value.empty()) return false;
+  for (const char c : value)
+    if (c < '0' || c > '9') return false;
+  errno = 0;
+  (void)std::strtoull(value.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
+
+/// The whole string is one finite floating-point number (strtod would
+/// skip leading space; the check does not).
+bool valid_double(const std::string& value) {
+  if (value.empty() || std::isspace(static_cast<unsigned char>(value[0])))
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  return *end == '\0' && errno != ERANGE && std::isfinite(parsed);
+}
+
+}  // namespace
 
 Cli& Cli::flag(const std::string& name, std::uint64_t default_value,
                const std::string& help) {
@@ -71,6 +99,13 @@ bool Cli::parse(int argc, char** argv) {
       }
     } else {
       it->second.value = arg.substr(eq + 1);
+    }
+    const Entry& entry = it->second;
+    if ((entry.kind == Entry::Kind::u64 && !valid_u64(entry.value)) ||
+        (entry.kind == Entry::Kind::real && !valid_double(entry.value))) {
+      std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
+                   entry.value.c_str());
+      return false;
     }
   }
   return true;

@@ -1,8 +1,12 @@
 // A tiny --flag=value command-line parser shared by the examples.  Not a
 // general-purpose library: flags are uint64/double/string/bool, unknown
-// flags are an error, and --help prints the registered set.  Non-flag
-// arguments are collected as positionals only when the tool opted in via
-// accept_positionals() (otherwise they stay an error, as before).
+// flags are an error, and --help prints the registered set.  Numeric
+// values are checked in parse(): a uint64 is all decimal digits (no
+// sign) and fits in 64 bits, a double is its whole string (no leading
+// space) and finite, so a typo'd value fails the parse instead of
+// reading as 0.  Non-flag arguments are collected as positionals only
+// when the tool opted in via accept_positionals() (otherwise they stay
+// an error, as before).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,11 @@ class Cli {
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positionals_;
+  }
+
+  /// Was a flag of this name registered?
+  [[nodiscard]] bool has(const std::string& name) const {
+    return entries_.count(name) != 0;
   }
 
   [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;

@@ -93,8 +93,11 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("sync", "random", "single", "roundrobin",
                           "staggered", "halfspeed")),
     [](const auto& inf) {
-      return "n" + std::to_string(std::get<0>(inf.param)) + "_" +
-             std::get<1>(inf.param) + "_" + std::get<2>(inf.param);
+      std::string name = "n";
+      name.append(std::to_string(std::get<0>(inf.param))).append("_");
+      name.append(std::get<1>(inf.param)).append("_");
+      name.append(std::get<2>(inf.param));
+      return name;
     });
 
 TEST(Algo2, IsolatedNodeReturnsColorZero) {

@@ -21,6 +21,7 @@
 #include "graph/coloring.hpp"
 #include "graph/ids.hpp"
 #include "sched/schedulers.hpp"
+#include "report_digest.hpp"
 
 namespace ftcc::dist {
 namespace {
@@ -245,6 +246,10 @@ TEST(DistRuntime, SmallMixedCampaignCertifiesEveryTrial) {
   const DistCampaignReport again = run_dist_campaign(options);
   EXPECT_EQ(report.decisions_digest, again.decisions_digest);
   EXPECT_EQ(report.text, again.text);
+  // Golden values, recorded before the campaign moved onto the shared
+  // trial kernel: they pin the bytes across builds, not just reruns.
+  EXPECT_EQ(report.decisions_digest, 0x526747e018d65416u);
+  EXPECT_EQ(report_digest(report.text), 0xe6744e5294ca2ecdu);
 }
 
 TEST(DistJanitor, FatalSignalUnlinksShmAndReturnsConventionalStatus) {

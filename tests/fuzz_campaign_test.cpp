@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "fuzz/campaign.hpp"
+#include "report_digest.hpp"
 
 namespace ftcc {
 namespace {
@@ -28,6 +32,24 @@ TEST(Campaign, SameSeedProducesByteIdenticalReports) {
   EXPECT_EQ(first.ok, second.ok);
   EXPECT_EQ(first.censored, second.censored);
   EXPECT_EQ(first.failures.size(), second.failures.size());
+}
+
+TEST(Campaign, ReportBytesArePinned) {
+  // Golden FNV-1a digests of report.text, recorded before the campaigns
+  // moved onto the shared trial kernel: plain, wrapped mixed faults, and
+  // the injected-fault pipeline with its shrink lines.
+  EXPECT_EQ(report_digest(run_campaign(small_options()).text),
+            0x32aa5888dbeae85bu);
+  CampaignOptions mixed = small_options();
+  mixed.trials = 60;
+  mixed.fault_mode = FaultMode::mixed;
+  mixed.wrap = true;
+  EXPECT_EQ(report_digest(run_campaign(mixed).text), 0x72c3ba84dd0048adu);
+  CampaignOptions injected = small_options();
+  injected.trials = 8;
+  injected.inject = InjectedFault::no_termination;
+  ASSERT_TRUE(injected.shrink);
+  EXPECT_EQ(report_digest(run_campaign(injected).text), 0xa8a444dda8e7cfd5u);
 }
 
 TEST(Campaign, DifferentSeedsExploreDifferentSchedules) {
@@ -181,8 +203,8 @@ TEST(Campaign, InjectedFaultDrivesTheWholeFailurePipeline) {
 
 TEST(Campaign, PersistFailureArtifactsFillsPathsAfterTheFact) {
   // The --raw UX fix: a campaign run without an artifact dir leaves
-  // failure paths empty; persist_failure_artifacts saves them to a
-  // fallback dir so the tool can always print a replayable path.
+  // failure paths empty; persist_witnesses saves them to a fallback dir
+  // so the tool can always print a replayable path.
   const auto dir =
       std::filesystem::temp_directory_path() / "ftcc_fuzz_campaign_persist";
   std::filesystem::remove_all(dir);
@@ -195,7 +217,8 @@ TEST(Campaign, PersistFailureArtifactsFillsPathsAfterTheFact) {
   for (const auto& failure : report.failures)
     EXPECT_TRUE(failure.path.empty());
 
-  const auto lines = persist_failure_artifacts(report, dir.string());
+  std::vector<std::string> lines;
+  ASSERT_FALSE(persist_witnesses(report.failures, dir.string(), lines));
   ASSERT_EQ(lines.size(), report.failures.size());
   for (std::size_t i = 0; i < report.failures.size(); ++i) {
     const auto& failure = report.failures[i];
@@ -207,8 +230,38 @@ TEST(Campaign, PersistFailureArtifactsFillsPathsAfterTheFact) {
     EXPECT_EQ(*loaded, failure.shrink.artifact);
   }
   // Already-persisted failures are left alone on a second call.
-  EXPECT_TRUE(persist_failure_artifacts(report, dir.string()).empty());
+  std::vector<std::string> again;
+  ASSERT_FALSE(persist_witnesses(report.failures, dir.string(), again));
+  EXPECT_TRUE(again.empty());
   std::filesystem::remove_all(dir);
+}
+
+TEST(Campaign, FallbackPersistUnderARegularFileReturnsAnError) {
+  // A fallback directory that cannot be created (its parent is a regular
+  // file) must come back as an error for the tool to exit 2 on, not as an
+  // uncaught filesystem_error.
+  const auto file =
+      std::filesystem::temp_directory_path() / "ftcc_fuzz_persist_file";
+  std::filesystem::remove_all(file);
+  std::ofstream(file) << "not a directory\n";
+
+  CampaignOptions options = small_options();
+  options.trials = 3;
+  options.inject = InjectedFault::no_termination;
+  CampaignReport report = run_campaign(options);
+  ASSERT_FALSE(report.failures.empty());
+  std::vector<std::string> lines;
+  const auto error =
+      persist_witnesses(report.failures, (file / "fuzz-artifacts").string(),
+                        lines);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("cannot create witness directory"),
+            std::string::npos)
+      << *error;
+  EXPECT_TRUE(lines.empty());
+  for (const auto& failure : report.failures)
+    EXPECT_TRUE(failure.path.empty());
+  std::filesystem::remove(file);
 }
 
 TEST(Campaign, ReplayViolationIsCleanOnAnEmptySchedule) {

@@ -8,6 +8,7 @@
 #include "fuzz/certify_campaign.hpp"
 #include "graph/ids.hpp"
 #include "runtime/threaded_executor.hpp"
+#include "report_digest.hpp"
 
 namespace ftcc {
 namespace {
@@ -72,6 +73,9 @@ TEST(Certifier, CampaignPlainTrialsAllCertify) {
   EXPECT_EQ(report.certified, 30u)
       << (report.failures.empty() ? "" : report.failures.front().verdict);
   EXPECT_TRUE(report.failures.empty());
+  // Golden digest of the seeded trial configurations (each line before
+  // " -> "), recorded before the campaign moved onto the trial kernel.
+  EXPECT_EQ(trial_config_digest(report.text), 0x71554696b5d45d2bu);
 }
 
 TEST(Certifier, CampaignFaultTrialsAllCertify) {
@@ -85,6 +89,7 @@ TEST(Certifier, CampaignFaultTrialsAllCertify) {
   EXPECT_EQ(report.certified, 30u)
       << (report.failures.empty() ? "" : report.failures.front().verdict);
   EXPECT_TRUE(report.failures.empty());
+  EXPECT_EQ(trial_config_digest(report.text), 0x4a396a28bd98c561u);
 }
 
 TEST(Certifier, StallFaultCertifiesAtSplitOnly) {
@@ -487,7 +492,8 @@ TEST(CertifyWitnesses, PersistFillsMissingPaths) {
       (std::filesystem::temp_directory_path() / "ftcc-certify-persist")
           .string();
   std::filesystem::remove_all(dir);
-  const auto lines = persist_certify_witnesses(report, dir);
+  std::vector<std::string> lines;
+  ASSERT_FALSE(persist_witnesses(report.failures, dir, lines));
   ASSERT_EQ(lines.size(), 1u);
   ASSERT_FALSE(report.failures[0].path.empty());
   EXPECT_NE(lines[0].find(report.failures[0].path), std::string::npos);
@@ -495,7 +501,9 @@ TEST(CertifyWitnesses, PersistFillsMissingPaths) {
   EXPECT_TRUE(load_event_log(report.failures[0].path, &error).has_value())
       << error;
   // Already-persisted failures are not saved twice.
-  EXPECT_TRUE(persist_certify_witnesses(report, dir).empty());
+  std::vector<std::string> again;
+  ASSERT_FALSE(persist_witnesses(report.failures, dir, again));
+  EXPECT_TRUE(again.empty());
   std::filesystem::remove_all(dir);
 }
 

@@ -17,29 +17,21 @@
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/scheduler.hpp"
 #include "scale/batch_campaign.hpp"
 #include "scale/batch_executor.hpp"
 #include "scale/graph_gen.hpp"
+#include "sched/schedulers.hpp"
+#include "report_digest.hpp"
 
 namespace ftcc {
 namespace {
-
-/// σ(t) = all working nodes: the synchronous schedule the batch engine
-/// specializes.
-class EveryoneScheduler final : public Scheduler {
- public:
-  std::vector<NodeId> next(std::span<const NodeId> working,
-                           std::uint64_t) override {
-    return {working.begin(), working.end()};
-  }
-};
 
 template <typename A>
 void expect_equal(const Graph& g, const IdAssignment& ids,
                   const CrashPlan& plan, std::uint64_t max_steps) {
   Executor<A> seq(A{}, g, ids, FaultPlan(plan));
-  EveryoneScheduler sched;
+  // σ(t) = all working nodes: the schedule the batch engine specializes.
+  SynchronousScheduler sched;
   const auto expected = seq.run(sched, max_steps);
   BatchExecutor<A> batch(g, ids, plan);
   const auto actual = batch.run(max_steps);
@@ -149,6 +141,20 @@ TEST(ScaleDifferential, CampaignReportIsByteIdentical) {
   const std::string second = run_batch_campaign(options).text;
   EXPECT_EQ(first, second);
   EXPECT_FALSE(first.empty());
+}
+
+TEST(ScaleDifferential, CampaignReportBytesArePinned) {
+  // Golden FNV-1a digest of report.text, recorded before the campaign
+  // moved onto the shared trial kernel, when it ran sequentially only.
+  BatchCampaignOptions options;
+  options.seed = 99;
+  options.trials = 40;
+  for (const unsigned jobs : {1u, 4u}) {
+    options.jobs = jobs;
+    EXPECT_EQ(report_digest(run_batch_campaign(options).text),
+              0xaf76244f7882d254u)
+        << "jobs=" << jobs;
+  }
 }
 
 TEST(ScaleDifferential, AlgorithmRegistry) {

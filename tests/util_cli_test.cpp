@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace ftcc {
@@ -51,6 +52,45 @@ TEST(Cli, RejectsUnknownFlag) {
   std::vector<std::string> args = {"prog", "--bogus=1"};
   auto argv = make_argv(args);
   EXPECT_FALSE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+}
+
+bool parses_n(const std::string& value) {
+  Cli cli;
+  cli.flag("n", std::uint64_t{16}, "nodes");
+  std::vector<std::string> args = {"prog", "--n=" + value};
+  auto argv = make_argv(args);
+  return cli.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Cli, RejectsMalformedUnsignedValues) {
+  // strtoull alone reads abc as 0, wraps -1 to 2^64 - 1, reads 6x as 6,
+  // and saturates 2^64; each must fail the parse instead.
+  for (const char* bad : {"abc", "-1", "6x", "", "18446744073709551616",
+                          "+5", " 7"})
+    EXPECT_FALSE(parses_n(bad)) << "'" << bad << "'";
+}
+
+TEST(Cli, AcceptsTheFullUnsignedRange) {
+  Cli cli;
+  cli.flag("lo", std::uint64_t{16}, "low")
+      .flag("hi", std::uint64_t{16}, "high");
+  std::vector<std::string> args = {"prog", "--lo=0",
+                                   "--hi=18446744073709551615"};
+  auto argv = make_argv(args);
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(cli.get_u64("lo"), 0u);
+  EXPECT_EQ(cli.get_u64("hi"), 18446744073709551615u);
+}
+
+TEST(Cli, RejectsMalformedRealValues) {
+  for (const char* bad : {"abc", "0.5x", "", "1e999", "nan", " 0.5"}) {
+    Cli cli;
+    cli.flag("rate", 0.25, "crash rate");
+    std::vector<std::string> args = {"prog", std::string("--rate=") + bad};
+    auto argv = make_argv(args);
+    EXPECT_FALSE(cli.parse(static_cast<int>(argv.size()), argv.data()))
+        << "'" << bad << "'";
+  }
 }
 
 TEST(Cli, HelpReturnsFalse) {

@@ -11,57 +11,34 @@
 //   fuzz --batched --trials=300 --nmax=256              # batch vs sequential
 //   fuzz --replay=artifacts/fail-3.sched
 //
-// The schedule-campaign report written to stdout is a deterministic
-// function of the flags *excluding* --jobs: two invocations with the same
-// seed produce byte-identical output for any worker count (trial sub-seeds
-// are pre-drawn and results merge in trial order — see CampaignOptions).
-// (--certify trial *configurations* are seed-deterministic too, but the
-// OS interleavings are not, by design.)
+// The schedule-campaign and --batched reports written to stdout are a
+// deterministic function of the flags *excluding* --jobs: two
+// invocations with the same seed produce byte-identical output for any
+// worker count (trial sub-seeds are pre-drawn and results merge in trial
+// order — see run_trials in runtime/parallel.hpp).  (--certify trial
+// *configurations* are seed-deterministic too, but the OS interleavings
+// are not, by design; --certify runs n <= 12.)
 // A failing run always names its replay artifacts: if --out was not
 // given they are saved under fuzz-artifacts/ (schedules) or
 // race-witnesses/ (event logs).
 // Exit status: 0 = no violations, 1 = violations found (or replay failed
 // to reproduce), 2 = usage or artifact error.
-#include <unistd.h>
-
-#include <cstdio>
+#include <algorithm>
 #include <iostream>
 #include <map>
 
 #include "fuzz/campaign.hpp"
 #include "fuzz/certify_campaign.hpp"
-#include "obs/sink.hpp"
-#include "obs/span.hpp"
 #include "runtime/worker_pool.hpp"
 #include "scale/batch_campaign.hpp"
-#include "util/artifacts.hpp"
+#include "tool_output.hpp"
 #include "util/cli.hpp"
-
-namespace {
-
-/// Overwriting progress line, shown only on an interactive stdout (CI logs
-/// and pipes stay clean).  The final call erases itself so the report text
-/// starts on a fresh line.
-void print_progress(const ftcc::CampaignProgress& p) {
-  if (p.done == p.total) {
-    std::printf("\r\033[2K");
-  } else {
-    std::printf("\r[%llu/%llu] ok=%llu censored=%llu failures=%llu",
-                static_cast<unsigned long long>(p.done),
-                static_cast<unsigned long long>(p.total),
-                static_cast<unsigned long long>(p.ok),
-                static_cast<unsigned long long>(p.censored),
-                static_cast<unsigned long long>(p.failures));
-  }
-  std::fflush(stdout);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   ftcc::Cli cli;
   cli.flag("seed", std::uint64_t{1}, "master seed; every trial derives from it")
-      .flag("trials", std::uint64_t{200}, "number of fuzz trials")
+      .flag("trials", std::uint64_t{200},
+            "number of fuzz trials (at most 10000000)")
       .flag("nmin", std::uint64_t{4}, "smallest graph size")
       .flag("nmax", std::uint64_t{24}, "largest graph size")
       .flag("algo", std::string("all"),
@@ -164,78 +141,61 @@ int main(int argc, char** argv) {
               << " (need 3 <= nmin <= nmax)\n";
     return 2;
   }
+  if (cli.get_u64("trials") > ftcc::kMaxTrials) {
+    std::cerr << "--trials may be at most " << ftcc::kMaxTrials << "\n";
+    return 2;
+  }
+  // Certify trials run real threads, which cost more than sequential
+  // replay: certify runs n <= 12, and a larger --nmax is capped.
+  constexpr ftcc::NodeId kCertifyMaxN = 12;
+  if (certify && n_min > kCertifyMaxN) {
+    std::cerr << "--certify runs n <= " << kCertifyMaxN << " (got --nmin="
+              << n_min << ")\n";
+    return 2;
+  }
   const std::string algo_flag = cli.get_string("algo");
   if (algo_flag != "all" && !ftcc::known_algorithm(algo_flag)) {
     std::cerr << "unknown --algo value '" << algo_flag << "'\n";
     return 2;
   }
 
-  // Observability plumbing shared by both campaign kinds.  The registry
-  // and sink live here so they outlive the campaign; files are written
-  // after the run (write failures are usage errors, not fuzz verdicts).
-  const std::string metrics_path = cli.get_string("metrics");
-  const std::string trace_path = cli.get_string("trace");
-
-  // Fail fast on unwritable destinations — a campaign whose artifacts,
-  // metrics, or trace cannot land anywhere must not run for an hour
-  // first and lose everything at the final write.
-  const std::string out_dir = cli.get_string("out");
-  if (!out_dir.empty()) {
-    if (const auto error = ftcc::probe_dir_writable(out_dir)) {
-      std::cerr << *error << "\n";
-      return 2;
-    }
-  }
-  for (const std::string& path : {metrics_path, trace_path}) {
-    if (path.empty()) continue;
-    if (const auto error = ftcc::probe_file_writable(path)) {
-      std::cerr << *error << "\n";
-      return 2;
-    }
-  }
+  ftcc::ToolOutput output(cli);
+  if (!output.probe({cli.get_string("out")})) return 2;
   const std::uint64_t jobs_flag = cli.get_u64("jobs");
   const unsigned jobs = jobs_flag == 0
                             ? ftcc::hardware_workers()
                             : static_cast<unsigned>(jobs_flag);
-  if (!trace_path.empty() && jobs > 1)
+  if (output.trace() != nullptr && jobs > 1)
     std::cerr << "note: trace spans are recorded only at --jobs=1 "
                  "(the sink is single-threaded); running with --jobs="
               << jobs << "\n";
-  ftcc::obs::Registry registry;
-  ftcc::obs::TraceSink trace;
-  const bool follow = cli.get_bool("follow");
-  const bool show_progress =
-      !follow && cli.get_bool("progress") && isatty(fileno(stdout)) != 0;
-  const auto follow_progress = [&](const ftcc::CampaignProgress& p) {
-    std::cout << ftcc::obs::progress_line(
-        {{"done", p.done},
-         {"total", p.total},
-         {"ok", p.ok},
-         {"censored", p.censored},
-         {"failures", p.failures}},
-        {{"tool", "fuzz"}, {"seed", std::to_string(cli.get_u64("seed"))},
-         {"inject", inject_name}});
-    std::cout.flush();
+  const std::string seed = std::to_string(cli.get_u64("seed"));
+  // The fields all three campaign kinds share.
+  const auto plan = [&](auto& options) {
+    options.seed = cli.get_u64("seed");
+    options.trials = cli.get_u64("trials");
+    options.jobs = jobs;
+    options.n_min = n_min;
+    options.n_max = n_max;
+    if (algo_flag != "all") options.algos = {algo_flag};
+    options.metrics = output.metrics();
+    options.trace = output.trace();
+    options.on_progress = output.progress<ftcc::CampaignProgress>(
+        [](const ftcc::CampaignProgress& p) {
+          return ftcc::ToolOutput::Counts{{"ok", p.ok},
+                                          {"censored", p.censored},
+                                          {"failures", p.failures}};
+        },
+        {{"tool", "fuzz"}, {"seed", seed}, {"inject", inject_name}});
   };
-  const auto write_observability = [&](const char* mode) -> bool {
-    if (!metrics_path.empty()) {
-      const std::map<std::string, std::string> meta{
-          {"tool", "fuzz"},
-          {"mode", mode},
-          {"seed", std::to_string(cli.get_u64("seed"))},
-          {"trials", std::to_string(cli.get_u64("trials"))},
-          {"algo", algo_flag},
-          {"inject", inject_name}};
-      if (!ftcc::obs::write_metrics_jsonl(metrics_path, registry, meta)) {
-        std::cerr << "cannot write metrics file " << metrics_path << "\n";
-        return false;
-      }
-    }
-    if (!trace_path.empty() && !trace.write(trace_path)) {
-      std::cerr << "cannot write trace file " << trace_path << "\n";
-      return false;
-    }
-    return true;
+  const auto meta = [&](const char* mode) {
+    return std::map<std::string, std::string>{
+        {"tool", "fuzz"},
+        {"mode", mode},
+        {"seed", seed},
+        {"trials", std::to_string(cli.get_u64("trials"))},
+        {"algo", algo_flag},
+        {"inject", inject_name}};
   };
 
   if (cli.get_bool("batched")) {
@@ -245,75 +205,38 @@ int main(int argc, char** argv) {
       return 2;
     }
     ftcc::BatchCampaignOptions options;
-    options.seed = cli.get_u64("seed");
-    options.trials = cli.get_u64("trials");
-    options.n_min = n_min;
-    options.n_max = n_max;
-    if (algo_flag != "all") options.algos = {algo_flag};
-    if (!metrics_path.empty()) options.metrics = &registry;
+    plan(options);
     const ftcc::BatchCampaignReport report = ftcc::run_batch_campaign(options);
-    std::cout << report.text;
-    if (!write_observability("batched")) return 2;
+    output.report() << report.text;
+    if (!output.write(meta("batched"))) return 2;
     return report.mismatches.empty() ? 0 : 1;
   }
 
   if (certify) {
     ftcc::CertifyCampaignOptions options;
-    options.seed = cli.get_u64("seed");
-    options.trials = cli.get_u64("trials");
-    options.n_min = n_min;
-    // The schedule campaign's default n range is sized for sequential
-    // replay; threads are costlier, so cap the default certify range.
-    options.n_max = std::min<ftcc::NodeId>(n_max, 12);
+    plan(options);
     options.artifact_dir = cli.get_string("out");
+    options.n_max = std::min(n_max, kCertifyMaxN);
     options.inject_faults = threaded_faults;
-    options.jobs = jobs;
-    if (algo_flag != "all") options.algos = {algo_flag};
-    if (!metrics_path.empty()) options.metrics = &registry;
-    if (!trace_path.empty()) options.trace = &trace;
-    if (follow) options.on_progress = follow_progress;
-    else if (show_progress) options.on_progress = print_progress;
     ftcc::CertifyCampaignReport report = ftcc::run_certify_campaign(options);
-    std::ostream& report_out = follow ? std::cerr : std::cout;
-    report_out << report.text;
-    if (!report.failures.empty())
-      for (const std::string& line :
-           ftcc::persist_certify_witnesses(report, "race-witnesses"))
-        report_out << line << "\n";
-    if (!write_observability("certify")) return 2;
+    output.report() << report.text;
+    if (!output.persist(report.failures, "race-witnesses")) return 2;
+    if (!output.write(meta("certify"))) return 2;
     return report.failures.empty() ? 0 : 1;
   }
 
   ftcc::CampaignOptions options;
-  options.seed = cli.get_u64("seed");
-  options.trials = cli.get_u64("trials");
-  options.n_min = n_min;
-  options.n_max = n_max;
+  plan(options);
   options.artifact_dir = cli.get_string("out");
-  options.jobs = jobs;
   options.shrink = cli.get_bool("shrink");
   options.inject = inject;
   options.fault_mode = fault_mode;
   // Real faults default to running under the self-healing wrapper; --raw
   // exposes the unprotected algorithms (corruption is expected to bite).
   options.wrap = fault_mode != ftcc::FaultMode::none && !cli.get_bool("raw");
-  if (algo_flag != "all") options.algos = {algo_flag};
-  if (!metrics_path.empty()) options.metrics = &registry;
-  if (!trace_path.empty()) options.trace = &trace;
-  if (follow) options.on_progress = follow_progress;
-  else if (show_progress) options.on_progress = print_progress;
-
   ftcc::CampaignReport report = ftcc::run_campaign(options);
-  // In --follow mode stdout carries only the ftcc-metrics-v1 stream;
-  // the report moves to stderr (see tools/dist.cpp for the same split).
-  std::ostream& report_out = follow ? std::cerr : std::cout;
-  report_out << report.text;
-  // A failing campaign must always name its replay artifacts — also with
-  // --raw and no --out (the campaign itself only saves into --out).
-  if (!report.failures.empty())
-    for (const std::string& line :
-         ftcc::persist_failure_artifacts(report, "fuzz-artifacts"))
-      report_out << line << "\n";
-  if (!write_observability("campaign")) return 2;
+  output.report() << report.text;
+  if (!output.persist(report.failures, "fuzz-artifacts")) return 2;
+  if (!output.write(meta("campaign"))) return 2;
   return report.failures.empty() ? 0 : 1;
 }

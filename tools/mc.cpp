@@ -23,8 +23,7 @@
 #include "graph/ids.hpp"
 #include "modelcheck/explorer.hpp"
 #include "obs/runtime_metrics.hpp"
-#include "obs/sink.hpp"
-#include "util/artifacts.hpp"
+#include "tool_output.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -166,15 +165,8 @@ int main(int argc, char** argv) {
     std::cerr << "mc: unknown --faults '" << faults << "'\n";
     return 2;
   }
-  // Fail fast on an unwritable metrics destination — an exhaustive run
-  // whose numbers cannot land anywhere must not explore for an hour first.
-  const std::string metrics_probe = cli.get_string("metrics");
-  if (!metrics_probe.empty()) {
-    if (const auto error = probe_file_writable(metrics_probe)) {
-      std::cerr << "mc: " << *error << "\n";
-      return 2;
-    }
-  }
+  ToolOutput output(cli);
+  if (!output.probe()) return 2;
   req.fault_events = static_cast<std::uint32_t>(cli.get_u64("fault-events"));
   req.jobs = static_cast<unsigned>(cli.get_u64("jobs"));
   req.max_configs = cli.get_u64("max-configs");
@@ -184,8 +176,7 @@ int main(int argc, char** argv) {
   req.reductions.census = cli.get_bool("census");
   req.verbose = cli.get_bool("verbose");
 
-  obs::Registry registry;
-  const obs::McMetrics metrics = obs::McMetrics::create(registry);
+  const obs::McMetrics metrics = obs::McMetrics::create(output.registry());
 
   const std::string algo = cli.get_string("algo");
   bool ok = true;
@@ -215,16 +206,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string metrics_path = cli.get_string("metrics");
-  if (!metrics_path.empty() &&
-      !obs::write_metrics_jsonl(
-          metrics_path, registry,
-          {{"tool", "mc"},
-           {"algo", algo},
-           {"n", std::to_string(n)},
-           {"jobs", std::to_string(req.jobs)}})) {
-    std::cerr << "mc: cannot write metrics to " << metrics_path << "\n";
+  if (!output.write({{"tool", "mc"},
+                     {"algo", algo},
+                     {"n", std::to_string(n)},
+                     {"jobs", std::to_string(req.jobs)}}))
     return 2;
-  }
   return ok ? 0 : 1;
 }
