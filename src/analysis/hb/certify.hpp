@@ -47,12 +47,12 @@
 #include <string>
 #include <vector>
 
-#include "analysis/hb/event_log.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "obs/span.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/hb_log.hpp"
+#include "runtime/threaded_executor.hpp"
 #include "sched/schedulers.hpp"
 #include "util/assert.hpp"
 
@@ -393,12 +393,6 @@ CertifyReport certify_log(const A& algo, const Graph& graph,
   }
   report.stage_us[4] = span.end();
   return report;
-}
-
-/// Convenience over a saved artifact (tools/race, tests).
-template <ThreadSafeAlgorithm A>
-CertifyReport certify_artifact(const A& algo, const EventLogArtifact& art) {
-  return certify_log(algo, art.graph(), art.ids, art.log);
 }
 
 }  // namespace ftcc

@@ -1,24 +1,10 @@
 #include "analysis/hb/event_log.hpp"
 
-#include <charconv>
-#include <fstream>
 #include <sstream>
 
 namespace ftcc {
 
 namespace {
-
-bool parse_u64(const std::string& token, std::uint64_t& out) {
-  const char* first = token.data();
-  const char* last = first + token.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
-bool fail(std::string* error, const std::string& message) {
-  if (error) *error = message;
-  return false;
-}
 
 void serialize_event(std::ostringstream& os, const HbEvent& e) {
   os << hb_event_kind_name(e.kind) << " " << e.round;
@@ -47,15 +33,18 @@ void serialize_event(std::ostringstream& os, const HbEvent& e) {
 /// Parse one event line (already split off its directive) for `node`.
 bool parse_event(const std::string& directive, std::istringstream& ls,
                  NodeId node, HbEvent& e, std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    return witness_error(error, message);
+  };
   const auto next_u64 = [&](std::uint64_t& out) {
     std::string token;
     return static_cast<bool>(ls >> token) && parse_u64(token, out);
   };
   e.peer = node;
-  if (!next_u64(e.round)) return fail(error, directive + ": bad round");
+  if (!next_u64(e.round)) return fail(directive + ": bad round");
   if (directive == "pub" || directive == "adv") {
     e.kind = directive == "pub" ? HbEventKind::publish : HbEventKind::adversary;
-    if (!next_u64(e.version)) return fail(error, directive + ": bad version");
+    if (!next_u64(e.version)) return fail(directive + ": bad version");
     std::uint64_t w = 0;
     while (next_u64(w)) e.words.push_back(w);
   } else if (directive == "stall" || directive == "rev" ||
@@ -63,146 +52,115 @@ bool parse_event(const std::string& directive, std::istringstream& ls,
     e.kind = directive == "stall"  ? HbEventKind::stall
              : directive == "rev" ? HbEventKind::revive
                                   : HbEventKind::finish;
-    if (!next_u64(e.version)) return fail(error, directive + ": bad value");
+    if (!next_u64(e.version)) return fail(directive + ": bad value");
   } else if (directive == "read" || directive == "rdto") {
     std::uint64_t peer = 0;
-    if (!next_u64(peer)) return fail(error, directive + ": bad peer");
+    if (!next_u64(peer)) return fail(directive + ": bad peer");
     e.peer = static_cast<NodeId>(peer);
     if (directive == "rdto") {
       e.kind = HbEventKind::read_timeout;
     } else {
       e.kind = HbEventKind::read;
-      if (!next_u64(e.version)) return fail(error, "read: bad version");
+      if (!next_u64(e.version)) return fail("read: bad version");
       std::uint64_t w = 0;
       while (next_u64(w)) e.words.push_back(w);
     }
   } else {
-    return fail(error, "unknown event '" + directive + "'");
+    return fail("unknown event '" + directive + "'");
   }
   return true;
 }
 
 bool parse_into(const std::string& text, EventLogArtifact& artifact,
                 std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    return witness_error(error, message);
+  };
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != "ftcc-eventlog v1")
-    return fail(error, "missing 'ftcc-eventlog v1' header");
-  bool saw_graph = false;
-  // Events may only follow a `node` directive; -1 = none open.
+    return fail("missing 'ftcc-eventlog v1' header");
+  // The node whose declared events are still to come, and how many.
   NodeId open_node = 0;
   std::uint64_t pending_events = 0;
-  bool node_open = false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream ls(line);
     std::string directive;
     ls >> directive;
-    if (node_open && pending_events > 0) {
+    if (pending_events > 0) {
       HbEvent e;
       if (!parse_event(directive, ls, open_node, e, error)) return false;
       artifact.log.record(open_node, std::move(e));
-      if (--pending_events == 0) node_open = false;
+      --pending_events;
       continue;
     }
-    if (directive == "algo") {
-      if (!(ls >> artifact.algo)) return fail(error, "algo: missing name");
-    } else if (directive == "graph") {
-      std::string kind, count;
-      if (!(ls >> kind >> count))
-        return fail(error, "graph: expected kind and n");
-      if (kind != "cycle" && kind != "path")
-        return fail(error, "graph: unknown kind '" + kind + "'");
-      std::uint64_t n = 0;
-      if (!parse_u64(count, n)) return fail(error, "graph: bad node count");
-      artifact.graph_kind = kind;
-      artifact.n = static_cast<NodeId>(n);
-      artifact.log.reset(artifact.n);
-      saw_graph = true;
-    } else if (directive == "ids") {
-      std::string token;
-      artifact.ids.clear();
-      while (ls >> token) {
-        std::uint64_t id = 0;
-        if (!parse_u64(token, id))
-          return fail(error, "ids: bad value '" + token + "'");
-        artifact.ids.push_back(id);
-      }
-    } else if (directive == "wrapped") {
-      std::string token;
-      std::uint64_t flag = 0;
-      if (!(ls >> token) || !parse_u64(token, flag) || flag > 1)
-        return fail(error, "wrapped: expected 0 or 1");
-      artifact.wrapped = flag == 1;
-    } else if (directive == "max_read_attempts") {
+    switch (parse_shape_line(directive, ls, artifact, error)) {
+      case ShapeLine::error: return false;
+      case ShapeLine::parsed:
+        if (directive == "graph") artifact.log.reset(artifact.n);
+        continue;
+      case ShapeLine::other: break;
+    }
+    if (directive == "max_read_attempts") {
       std::string token;
       if (!(ls >> token) || !parse_u64(token, artifact.max_read_attempts))
-        return fail(error, "max_read_attempts: bad value");
+        return fail("max_read_attempts: bad value");
     } else if (directive == "fault") {
       std::string node, kind;
       if (!(ls >> node >> kind))
-        return fail(error, "fault: expected node and kind");
+        return fail("fault: expected node and kind");
       ThreadedFault fault;
       std::uint64_t v = 0;
-      if (!parse_u64(node, v)) return fail(error, "fault: bad node");
+      if (!parse_u64(node, v)) return fail("fault: bad node");
       fault.node = static_cast<NodeId>(v);
       std::string after, mask;
       if (kind == "corrupt") {
         fault.kind = ThreadedFault::Kind::corrupt_words;
         if (!(ls >> after >> mask) || !parse_u64(after, fault.after_publishes) ||
             !parse_u64(mask, fault.mask))
-          return fail(error, "fault corrupt: expected after_publishes, mask");
+          return fail("fault corrupt: expected after_publishes, mask");
       } else if (kind == "stall") {
         fault.kind = ThreadedFault::Kind::stall_mid_publish;
         if (!(ls >> after) || !parse_u64(after, fault.after_publishes))
-          return fail(error, "fault stall: expected after_publishes");
+          return fail("fault stall: expected after_publishes");
       } else {
-        return fail(error, "fault: unknown kind '" + kind + "'");
+        return fail("fault: unknown kind '" + kind + "'");
       }
       artifact.faults.push_back(fault);
     } else if (directive == "node") {
-      if (!saw_graph) return fail(error, "node: before 'graph' line");
+      if (artifact.n == 0) return fail("node: before 'graph' line");
       std::string node, count;
       if (!(ls >> node >> count))
-        return fail(error, "node: expected id and event count");
+        return fail("node: expected id and event count");
       std::uint64_t v = 0;
       if (!parse_u64(node, v) || v >= artifact.n)
-        return fail(error, "node: id out of range");
+        return fail("node: id out of range");
       if (!parse_u64(count, pending_events))
-        return fail(error, "node: bad event count");
+        return fail("node: bad event count");
       open_node = static_cast<NodeId>(v);
-      node_open = pending_events > 0;
     } else if (directive == "seed") {
       std::string token;
       if (!(ls >> token) || !parse_u64(token, artifact.seed))
-        return fail(error, "seed: bad value");
+        return fail("seed: bad value");
     } else if (directive == "verdict") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      artifact.verdict = rest;
+      artifact.verdict = rest_of_line(ls);
     } else {
-      return fail(error, "unknown directive '" + directive + "'");
+      return fail("unknown directive '" + directive + "'");
     }
   }
-  if (node_open)
-    return fail(error, "truncated log: node " + std::to_string(open_node) +
-                           " missing " + std::to_string(pending_events) +
-                           " events");
-  if (artifact.algo.empty()) return fail(error, "missing 'algo' line");
-  if (!saw_graph) return fail(error, "missing 'graph' line");
-  if (artifact.ids.size() != artifact.n)
-    return fail(error,
-                "ids: expected " + std::to_string(artifact.n) + " values, got " +
-                    std::to_string(artifact.ids.size()));
+  if (pending_events > 0)
+    return fail("truncated log: node " + std::to_string(open_node) +
+                " missing " + std::to_string(pending_events) + " events");
+  if (!check_shape(artifact, error)) return false;
   for (const ThreadedFault& f : artifact.faults)
-    if (f.node >= artifact.n) return fail(error, "fault: node out of range");
+    if (f.node >= artifact.n) return fail("fault: node out of range");
   for (NodeId v = 0; v < artifact.n; ++v)
     for (const HbEvent& e : artifact.log.events(v))
       if ((e.kind == HbEventKind::read ||
            e.kind == HbEventKind::read_timeout) &&
           e.peer >= artifact.n)
-        return fail(error, "read: peer out of range");
+        return fail("read: peer out of range");
   return true;
 }
 
@@ -211,12 +169,8 @@ bool parse_into(const std::string& text, EventLogArtifact& artifact,
 std::string serialize_event_log(const EventLogArtifact& artifact) {
   std::ostringstream os;
   os << "ftcc-eventlog v1\n";
-  os << "algo " << artifact.algo << "\n";
-  os << "graph " << artifact.graph_kind << " " << artifact.n << "\n";
-  os << "ids";
-  for (std::uint64_t id : artifact.ids) os << " " << id;
-  os << "\n";
-  if (artifact.wrapped) os << "wrapped 1\n";
+  write_shape_lines(os, artifact);
+  write_wrapped_line(os, artifact);
   os << "max_read_attempts " << artifact.max_read_attempts << "\n";
   for (const ThreadedFault& f : artifact.faults) {
     os << "fault " << f.node << " ";
@@ -244,22 +198,12 @@ std::optional<EventLogArtifact> parse_event_log(const std::string& text,
 }
 
 bool save_event_log(const std::string& path, const EventLogArtifact& artifact) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << serialize_event_log(artifact);
-  return static_cast<bool>(out);
+  return write_file(path, serialize_event_log(artifact));
 }
 
 std::optional<EventLogArtifact> load_event_log(const std::string& path,
                                                std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error) *error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_event_log(buffer.str(), error);
+  return load_witness(path, error, parse_event_log);
 }
 
 }  // namespace ftcc

@@ -4,8 +4,8 @@
 // the trial configuration (algorithm, topology, identifiers, threaded
 // faults) and every node's recorded event sequence — so `tools/race`
 // (or a unit test) can reproduce the diagnosis bit-for-bit.  Sibling of
-// the PR 1 schedule artifact (fuzz/schedule_io.hpp) and deliberately the
-// same line-oriented, versioned, strictly-parsed shape:
+// the schedule artifact (fuzz/schedule_io.hpp) and deliberately the same
+// line-oriented, versioned, strictly-parsed shape:
 //
 //   ftcc-eventlog v1
 //   algo six
@@ -28,9 +28,12 @@
 // `stall round odd_version`, `read round peer version words...` (version 0
 // = ⊥, no words), `rdto round peer`, `rev round version` (multi-process
 // restart-with-revival, src/dist/), `fin round color_code`.  `seed` and
-// `verdict` are provenance, ignored on load.  Parsing is strict: a
-// declared event count not matched by that many event lines, an unknown
-// directive, or a malformed number is an error surfaced to the caller.
+// `verdict` are provenance, ignored on load.  The `algo`, `graph`, `ids`
+// and `wrapped` lines are the trial shape, read and written by the codec
+// the schedule witness shares (graph/trial_shape.hpp).  Parsing is
+// strict: a declared event count not matched by that many event lines,
+// an unknown directive, or a malformed number is an error surfaced to
+// the caller.
 #pragma once
 
 #include <cstdint>
@@ -38,23 +41,15 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
-#include "graph/ids.hpp"
+#include "graph/trial_shape.hpp"
 #include "runtime/hb_log.hpp"
 #include "runtime/threaded_executor.hpp"
 
 namespace ftcc {
 
-struct EventLogArtifact {
-  /// Algorithm name as accepted by the campaign runner ("six", "five",
-  /// "fast5", "delta2", "fast6").
-  std::string algo;
-  /// Topology: "cycle" or "path".
-  std::string graph_kind = "cycle";
-  NodeId n = 0;
-  IdAssignment ids;
-  /// True iff the run wrapped the algorithm in Recovering<>.
-  bool wrapped = false;
+/// A threaded or multi-process run's witness: the trial's shape, the
+/// threaded options it ran under, and every node's recorded events.
+struct EventLogArtifact : TrialShape {
   /// The ThreadedOptions the run used (faults + read bound).
   std::uint64_t max_read_attempts = std::uint64_t{1} << 20;
   std::vector<ThreadedFault> faults;
@@ -64,9 +59,6 @@ struct EventLogArtifact {
   std::uint64_t seed = 0;
   std::string verdict;
 
-  [[nodiscard]] Graph graph() const {
-    return graph_kind == "path" ? make_path(n) : make_cycle(n);
-  }
   [[nodiscard]] ThreadedOptions threaded_options() const {
     ThreadedOptions options;
     options.max_read_attempts = max_read_attempts;

@@ -23,7 +23,7 @@ namespace {
 /// One multi-process trial's configuration, all drawn from the trial
 /// seed (the same family spread as the certify campaign's generator).
 struct DistTrial : TrialShape {
-  bool wrapped = false;
+  std::string ids_family;
   FaultPlan plan;
   std::vector<std::uint8_t> torn_crash;
   std::string sched_name;
@@ -76,7 +76,7 @@ DistTrial generate_dist_trial(const std::vector<std::string>& algos,
                               std::uint64_t trial_seed, DistFaultMode mode) {
   Xoshiro256 rng(trial_seed);
   DistTrial cfg;
-  draw_trial_shape(algos, n_min, n_max, rng, cfg);
+  cfg.ids_family = draw_trial_shape(algos, n_min, n_max, rng, cfg);
   cfg.plan = FaultPlan(cfg.n);
   cfg.torn_crash.assign(cfg.n, 0);
   std::ostringstream desc;
@@ -225,8 +225,7 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
     ExecutionResult<std::uint64_t> result;
     std::string runtime_error;
     const CertifyReport verdict = with_campaign_algorithm(
-        cfg.algo, cfg.wrapped,
-        [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
+        cfg, [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
           DistExecutor<decltype(algo)> ex(algo, graph, cfg.ids, cfg.plan,
                                           dopts);
           ex.attach_hb_log(&log);
@@ -364,13 +363,9 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
        << " digest=" << digest << "\n";
 
     EventLogArtifact artifact;
-    artifact.algo = cfg.algo;
-    artifact.graph_kind = cfg.graph_kind;
-    artifact.n = cfg.n;
-    artifact.ids = cfg.ids;
-    artifact.wrapped = cfg.wrapped;
+    static_cast<TrialShape&>(artifact) = cfg;
     artifact.max_read_attempts = options.max_read_attempts;
-    artifact.log = log;
+    artifact.log = std::move(log);
     artifact.seed = options.seed;
 
     std::string failure_verdict;

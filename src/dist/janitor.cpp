@@ -103,29 +103,10 @@ void janitor_remove_child(pid_t pid) {
   }
 }
 
-void janitor_cleanup_now() {
-  for (int i = 0; i < kMaxChildren; ++i) {
-    const pid_t pid = g_children[i];
-    if (pid > 0) ::kill(pid, SIGKILL);
-    g_children[i] = 0;
-  }
-  for (int i = 0; i < kMaxPaths; ++i) {
-    if (g_paths[i][0] != '\0') ::unlink(g_paths[i]);
-    g_paths[i][0] = '\0';
-  }
-}
-
 int janitor_path_count() {
   int count = 0;
   for (int i = 0; i < kMaxPaths; ++i)
     if (g_paths[i][0] != '\0') ++count;
-  return count;
-}
-
-int janitor_child_count() {
-  int count = 0;
-  for (int i = 0; i < kMaxChildren; ++i)
-    if (g_children[i] != 0) ++count;
   return count;
 }
 

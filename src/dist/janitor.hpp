@@ -31,13 +31,7 @@ void janitor_remove_path(const char* path);
 bool janitor_add_child(pid_t pid);
 void janitor_remove_child(pid_t pid);
 
-/// Reap everything registered right now (kill children, unlink paths)
-/// and clear the registry.  Used on deliberate teardown paths; unlike
-/// the signal handler it does not _exit.
-void janitor_cleanup_now();
-
-/// Number of currently registered entries — exposed for tests.
+/// Number of currently registered paths — exposed for tests.
 int janitor_path_count();
-int janitor_child_count();
 
 }  // namespace ftcc::dist

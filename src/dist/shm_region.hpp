@@ -43,7 +43,6 @@ class ShmRegion {
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Full filesystem path of the backing file ("/dev/shm/ftcc-dist-...").
   [[nodiscard]] const std::string& fs_path() const { return fs_path_; }
-  [[nodiscard]] std::size_t cell_words() const { return cell_words_; }
 
   /// Atomic view of word `i` of node `v`'s cell (word 0 = version).
   /// Valid in every process that maps the segment.

@@ -92,22 +92,22 @@ struct DistOptions {
   /// retry exhaustion, and node processes detect it without a scheduler
   /// racing them.
   std::uint64_t max_read_attempts = std::uint64_t{1} << 12;
-  /// First ACK poll timeout; doubles per miss up to kAckTimeoutCapMs.
-  int ack_timeout_ms = 100;
-  /// Total per-activation wait before a silent node is declared wedged,
-  /// SIGKILLed, and recorded as crashed.
-  int liveness_budget_ms = 10000;
   /// Send the whole activation set before collecting ACKs (real races).
   bool overlap = false;
   /// Per-node crash-stop flavour: nonzero = torn publish. Nodes beyond
   /// the vector (or an empty vector) crash cleanly.
   std::vector<std::uint8_t> torn_crash;
-  /// Span-ring capacity per telemetry slot when a DistTelemetry is
-  /// attached (records beyond it overwrite the oldest).
-  std::uint32_t telemetry_spans = 256;
 };
 
+/// First ACK poll timeout; doubles per miss up to kAckTimeoutCapMs.
+inline constexpr int kAckTimeoutMs = 100;
 inline constexpr int kAckTimeoutCapMs = 2000;
+/// Total per-activation wait before a silent node is declared wedged,
+/// SIGKILLed, and recorded as crashed.
+inline constexpr int kLivenessBudgetMs = 10000;
+/// Span-ring capacity per telemetry slot when a DistTelemetry is attached
+/// (records beyond it overwrite the oldest).
+inline constexpr std::uint32_t kTelemetrySpans = 256;
 
 /// A supervisor-side OS fault, timestamped on the telemetry clock so it
 /// lands between the victim's own spans in the merged trace.
@@ -175,7 +175,7 @@ class DistExecutor {
     std::optional<obs::ShmMetricsRegion> obs_region;
     if (telemetry_ != nullptr) {
       *telemetry_ = DistTelemetry{};
-      obs_region.emplace(n, options_.telemetry_spans);
+      obs_region.emplace(n, kTelemetrySpans);
       if (obs_region->ok()) {
         obs_region_ = &*obs_region;
         janitor_add_path(obs_region_->fs_path().c_str());
@@ -419,10 +419,9 @@ class DistExecutor {
   /// returns true iff the child died on its own before the escalation.
   [[nodiscard]] bool reap(NodeId v, bool force_after_budget) {
     NodeProc& p = nodes_[v];
-    const int budget = options_.liveness_budget_ms;
     int waited = 0;
     int status = 0;
-    while (waited < budget) {
+    while (waited < kLivenessBudgetMs) {
       const pid_t r = ::waitpid(p.pid, &status, WNOHANG);
       if (r == p.pid || (r < 0 && errno == ECHILD)) return true;
       struct timespec ts{0, 1000 * 1000};  // 1ms
@@ -458,10 +457,9 @@ class DistExecutor {
   /// events into the log and applies the termination.
   void await_ack(NodeId v) {
     NodeProc& p = nodes_[v];
-    const int budget = options_.liveness_budget_ms;
     int waited = 0;
-    int timeout = std::max(1, options_.ack_timeout_ms);
-    while (waited < budget) {
+    int timeout = kAckTimeoutMs;
+    while (waited < kLivenessBudgetMs) {
       const int rc = wait_readable(p.fd, timeout);
       if (rc < 0) {
         handle_death(v);

@@ -11,8 +11,8 @@
 #include "faults/invariants.hpp"
 #include "fuzz/dispatch.hpp"
 #include "graph/chains.hpp"
-#include "fuzz/recording_scheduler.hpp"
 #include "sched/adversary_search.hpp"
+#include "sched/schedulers.hpp"
 #include "util/artifacts.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -25,7 +25,6 @@ struct RecordedRun {
   bool completed = false;
   std::optional<std::string> violation;
   std::uint64_t steps = 0;
-  std::uint64_t max_acts = 0;
   std::vector<std::vector<NodeId>> sigmas;
   std::vector<NodeFate> fates;
   std::vector<std::uint64_t> activations;
@@ -84,15 +83,14 @@ RecordedRun run_recorded(A algo, const Graph& graph, const IdAssignment& ids,
   Executor<A>& ex = pooled_executor(std::move(algo), graph, ids, faults);
   install_monitors(ex, palette_bound, ordered, inject);
   RecordingScheduler recorder(sched);
-  const auto result = ex.run(recorder, max_steps);
+  auto result = ex.run(recorder, max_steps);
   RecordedRun run;
   run.completed = result.completed;
   run.violation = ex.violation();
   run.steps = result.steps;
-  run.max_acts = result.max_activations();
-  run.sigmas = recorder.take();
-  run.fates = result.fates;
-  run.activations = result.activations;
+  run.sigmas = recorder.take(result.steps);
+  run.fates = std::move(result.fates);
+  run.activations = std::move(result.activations);
   return run;
 }
 
@@ -112,15 +110,11 @@ std::string format_fates(const std::vector<NodeFate>& fates) {
   return os.str();
 }
 
-/// One trial's generated configuration (all drawn from the trial seed).
-struct TrialConfig : TrialShape {
-  CrashPlan crashes;
-  std::vector<std::pair<NodeId, std::uint64_t>> crash_at_step;
-  std::vector<std::pair<NodeId, std::uint64_t>> crash_after_acts;
-  /// crashes plus any drawn recovery/corruption faults.
-  FaultPlan faults;
-  std::vector<ArtifactRecovery> recoveries;
-  std::vector<ArtifactCorruption> corruptions;
+/// One trial's generated configuration (all drawn from the trial seed):
+/// its witness without σ, and the scheduler with the report's names.
+struct TrialConfig {
+  ScheduleArtifact witness;
+  std::string ids_family;
   std::unique_ptr<Scheduler> sched;
   std::string sched_family;
 };
@@ -133,27 +127,23 @@ std::string format_p(double p) {
 
 TrialConfig generate_trial(const std::vector<std::string>& algos, NodeId n_min,
                            NodeId n_max, std::uint64_t trial_seed,
-                           FaultMode fault_mode) {
+                           FaultMode fault_mode, bool wrap) {
   Xoshiro256 rng(trial_seed);
   TrialConfig cfg;
-  draw_trial_shape(algos, n_min, n_max, rng, cfg);
+  ScheduleArtifact& w = cfg.witness;
+  cfg.ids_family = draw_trial_shape(algos, n_min, n_max, rng, w);
+  w.wrapped = wrap;
 
-  cfg.crashes = CrashPlan(cfg.n);
-  const std::uint64_t crash_count = rng.below(cfg.n / 3 + 1u);
-  for (std::uint64_t v : sample_distinct(cfg.n, crash_count, rng)) {
+  const std::uint64_t crash_count = rng.below(w.n / 3 + 1u);
+  for (std::uint64_t v : sample_distinct(w.n, crash_count, rng)) {
     const auto node = static_cast<NodeId>(v);
-    if (rng.chance(0.5)) {
-      const std::uint64_t t = 1 + rng.below(4ull * cfg.n);
-      cfg.crashes.crash_at_step(node, t);
-      cfg.crash_at_step.emplace_back(node, t);
-    } else {
-      const std::uint64_t k = rng.below(5);
-      cfg.crashes.crash_after_activations(node, k);
-      cfg.crash_after_acts.emplace_back(node, k);
-    }
+    if (rng.chance(0.5))
+      w.crash_at_step.emplace_back(node, 1 + rng.below(4ull * w.n));
+    else
+      w.crash_after_acts.emplace_back(node, rng.below(5));
   }
-  std::sort(cfg.crash_at_step.begin(), cfg.crash_at_step.end());
-  std::sort(cfg.crash_after_acts.begin(), cfg.crash_after_acts.end());
+  std::sort(w.crash_at_step.begin(), w.crash_at_step.end());
+  std::sort(w.crash_after_acts.begin(), w.crash_after_acts.end());
 
   const std::uint64_t sched_seed = rng();
   switch (rng.below(10)) {
@@ -191,8 +181,8 @@ TrialConfig generate_trial(const std::vector<std::string>& algos, NodeId n_min,
       break;
     }
     case 8: {
-      std::vector<double> speeds(cfg.n, 1.0);
-      speeds[rng.below(cfg.n)] = 0.05;
+      std::vector<double> speeds(w.n, 1.0);
+      speeds[rng.below(w.n)] = 0.05;
       cfg.sched = std::make_unique<WeightedScheduler>(std::move(speeds),
                                                       sched_seed);
       cfg.sched_family = "laggard";
@@ -206,41 +196,38 @@ TrialConfig generate_trial(const std::vector<std::string>& algos, NodeId n_min,
 
   // Faults draw last and only when armed, so fault-free campaigns consume
   // exactly the RNG stream they always did (trial-for-trial identical).
-  cfg.faults = FaultPlan(cfg.crashes);
   if (fault_mode == FaultMode::recover || fault_mode == FaultMode::mixed) {
     const std::uint64_t count =
-        1 + rng.below(std::max<std::uint64_t>(cfg.n / 4, 1));
-    for (std::uint64_t v : sample_distinct(cfg.n, count, rng)) {
+        1 + rng.below(std::max<std::uint64_t>(w.n / 4, 1));
+    for (std::uint64_t v : sample_distinct(w.n, count, rng)) {
       RecoveryFault fault;
-      fault.at_step = 1 + rng.below(2ull * cfg.n);
-      fault.down_steps = 1 + rng.below(static_cast<std::uint64_t>(cfg.n));
+      fault.at_step = 1 + rng.below(2ull * w.n);
+      fault.down_steps = 1 + rng.below(static_cast<std::uint64_t>(w.n));
       fault.reg = static_cast<RecoveredRegister>(rng.below(3));
-      cfg.recoveries.push_back({static_cast<NodeId>(v), fault});
+      w.recoveries.push_back({static_cast<NodeId>(v), fault});
     }
-    std::sort(cfg.recoveries.begin(), cfg.recoveries.end(),
+    std::sort(w.recoveries.begin(), w.recoveries.end(),
               [](const ArtifactRecovery& a, const ArtifactRecovery& b) {
                 return a.node < b.node;
               });
-    for (const auto& r : cfg.recoveries) cfg.faults.recover(r.node, r.fault);
   }
   if (fault_mode == FaultMode::corrupt || fault_mode == FaultMode::mixed) {
     const std::uint64_t count =
-        1 + rng.below(std::max<std::uint64_t>(cfg.n / 3, 1));
+        1 + rng.below(std::max<std::uint64_t>(w.n / 3, 1));
     for (std::uint64_t i = 0; i < count; ++i) {
-      const auto node = static_cast<NodeId>(rng.below(cfg.n));
+      const auto node = static_cast<NodeId>(rng.below(w.n));
       CorruptionFault fault;
-      fault.at_step = 1 + rng.below(4ull * cfg.n);
+      fault.at_step = 1 + rng.below(4ull * w.n);
       fault.kind = rng.chance(0.5) ? CorruptionFault::Kind::bit_flip
                                    : CorruptionFault::Kind::overwrite;
       fault.word = rng.below(8);
       fault.value = rng();
-      cfg.corruptions.push_back({node, fault});
+      w.corruptions.push_back({node, fault});
     }
-    std::stable_sort(cfg.corruptions.begin(), cfg.corruptions.end(),
+    std::stable_sort(w.corruptions.begin(), w.corruptions.end(),
                      [](const ArtifactCorruption& a, const ArtifactCorruption& b) {
                        return a.node < b.node;
                      });
-    for (const auto& c : cfg.corruptions) cfg.faults.corrupt(c.node, c.fault);
   }
   return cfg;
 }
@@ -256,6 +243,17 @@ const std::vector<std::string>& campaign_algorithms() {
 bool known_algorithm(const std::string& name) {
   const auto& names = campaign_algorithms();
   return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+std::optional<std::string> unrunnable(const TrialShape& shape) {
+  if (!known_algorithm(shape.algo))
+    return "names unknown algorithm '" + shape.algo + "'";
+  // Algorithm 2 and Algorithm 4 also run on paths; the others need the
+  // cycle's two neighbours at every node.
+  if (shape.graph_kind == "path" && shape.algo != "five" &&
+      shape.algo != "delta2")
+    return "runs cycle-only algorithm '" + shape.algo + "' on a path";
+  return std::nullopt;
 }
 
 const std::vector<std::string>& checked_algorithms(const CampaignPlan& plan) {
@@ -276,11 +274,11 @@ void write_plan_header(std::ostream& os, const CampaignPlan& plan,
 
 std::string replay_violation(const ScheduleArtifact& artifact,
                              InjectedFault inject) {
-  FTCC_EXPECTS(known_algorithm(artifact.algo));
+  FTCC_EXPECTS(!unrunnable(artifact));
   const Graph graph = artifact.graph();
   const FaultPlan faults = artifact.fault_plan();
   return with_campaign_algorithm(
-      artifact.algo, artifact.wrapped,
+      artifact,
       [&](auto algo, std::uint64_t bound, bool ordered) -> std::string {
         auto& ex = pooled_executor(std::move(algo), graph, artifact.ids,
                                    faults);
@@ -328,39 +326,31 @@ CampaignReport run_campaign(const CampaignOptions& options) {
                              TrialSlot<CampaignFailure>& slot) {
     std::ostringstream os;
     TrialConfig cfg = generate_trial(algos, options.n_min, options.n_max,
-                                     seed, options.fault_mode);
-    const std::uint64_t budget = linear_step_budget(cfg.n);
-    const Graph graph = cfg.graph();
+                                     seed, options.fault_mode, options.wrap);
+    ScheduleArtifact& witness = cfg.witness;
+    const std::uint64_t budget = linear_step_budget(witness.n);
+    const Graph graph = witness.graph();
+    const FaultPlan faults = witness.fault_plan();
 
     RecordedRun run = with_campaign_algorithm(
-        cfg.algo, options.wrap,
-        [&](auto algo, std::uint64_t bound, bool ordered) {
-          return run_recorded(std::move(algo), graph, cfg.ids, cfg.faults,
+        witness, [&](auto algo, std::uint64_t bound, bool ordered) {
+          return run_recorded(std::move(algo), graph, witness.ids, faults,
                               *cfg.sched, budget, bound, ordered,
                               options.inject);
         });
 
     if (m.trial_steps) m.trial_steps->observe(run.steps);
-    os << "trial " << trial << " algo=" << cfg.algo
-       << " graph=" << cfg.graph_kind << " n=" << cfg.n
+    os << "trial " << trial << " algo=" << witness.algo
+       << " graph=" << witness.graph_kind << " n=" << witness.n
        << " ids=" << cfg.ids_family << " sched=" << cfg.sched_family
-       << " crashes=" << cfg.crash_at_step.size() + cfg.crash_after_acts.size();
+       << " crashes="
+       << witness.crash_at_step.size() + witness.crash_after_acts.size();
     if (options.fault_mode != FaultMode::none)
-      os << " recoveries=" << cfg.recoveries.size()
-         << " corruptions=" << cfg.corruptions.size();
+      os << " recoveries=" << witness.recoveries.size()
+         << " corruptions=" << witness.corruptions.size();
     os << " -> ";
     if (run.violation) {
       os << "FAIL " << *run.violation << "\n";
-      ScheduleArtifact witness;
-      witness.algo = cfg.algo;
-      witness.graph_kind = cfg.graph_kind;
-      witness.n = cfg.n;
-      witness.ids = cfg.ids;
-      witness.crash_at_step = cfg.crash_at_step;
-      witness.crash_after_acts = cfg.crash_after_acts;
-      witness.recoveries = cfg.recoveries;
-      witness.corruptions = cfg.corruptions;
-      witness.wrapped = options.wrap;
       witness.sigmas = std::move(run.sigmas);
       witness.seed = options.seed;
       witness.violation = *run.violation;
@@ -374,7 +364,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
         obs::Span shrink_span(trace, "fuzz.shrink", "fuzz");
         ShrinkOptions shrink_options;
         shrink_options.max_checks = options.shrink_checks;
-        shrink_options.min_nodes = cfg.graph_kind == "path" ? 2u : 3u;
+        shrink_options.min_nodes = witness.graph_kind == "path" ? 2u : 3u;
         failure.shrink = shrink_artifact(
             witness,
             [&](const ScheduleArtifact& candidate) {
@@ -415,12 +405,12 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       // min{3ℓ, 3ℓ′, ℓ+ℓ′}+4, meaningful exactly for clean Algorithm 1
       // runs on the cycle (the lemma's setting: no crashes, no faults,
       // no wrapper rounds inflating the count).
-      if (m.lemma39_headroom && cfg.algo == "six" &&
-          cfg.graph_kind == "cycle" && !options.wrap &&
-          cfg.crash_at_step.empty() && cfg.crash_after_acts.empty() &&
-          cfg.recoveries.empty() && cfg.corruptions.empty()) {
-        const MonotoneDistances dist = monotone_distances_on_cycle(cfg.ids);
-        for (NodeId v = 0; v < cfg.n; ++v) {
+      if (m.lemma39_headroom && witness.algo == "six" &&
+          witness.graph_kind == "cycle" && !witness.wrapped &&
+          witness.crash_at_step.empty() && witness.crash_after_acts.empty() &&
+          witness.recoveries.empty() && witness.corruptions.empty()) {
+        const MonotoneDistances dist = monotone_distances_on_cycle(witness.ids);
+        for (NodeId v = 0; v < witness.n; ++v) {
           const auto l = static_cast<std::uint64_t>(dist.dist_to_max[v]);
           const auto lp = static_cast<std::uint64_t>(dist.dist_to_min[v]);
           const std::uint64_t bound =
@@ -429,7 +419,8 @@ CampaignReport run_campaign(const CampaignOptions& options) {
             m.lemma39_headroom->observe(bound - run.activations[v]);
         }
       }
-      os << "ok steps=" << run.steps << " max_acts=" << run.max_acts
+      os << "ok steps=" << run.steps
+         << " max_acts=" << std::ranges::max(run.activations)
          << " fates=" << format_fates(run.fates) << "\n";
     }
     slot.text = os.str();

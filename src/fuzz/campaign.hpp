@@ -6,14 +6,17 @@
 // draws one sub-seed per trial and from it picks an algorithm, a graph
 // size, an identifier assignment family, a crash pattern, and an adversary
 // from the scheduler portfolio (the src/sched families plus the
-// adversary_search pairs family).  The trial runs under a
+// adversary_search pairs family).  The draws form a ScheduleArtifact
+// without σ, the trial's one record.  The trial runs under a
 // RecordingScheduler with every applicable invariant monitor from
-// src/analysis installed; a violation yields a ScheduleArtifact that is
-// delta-debugged down to a minimal replayable witness and written to disk.
+// src/analysis installed; a violation moves the recorded σ into that
+// artifact, which is delta-debugged down to a minimal replayable witness
+// and written to disk.
 // Two campaigns with the same options produce byte-identical reports.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -112,6 +115,12 @@ struct CampaignReport {
 [[nodiscard]] const std::vector<std::string>& campaign_algorithms();
 [[nodiscard]] bool known_algorithm(const std::string& name);
 
+/// Why no campaign algorithm can run on `shape`, phrased to follow
+/// "artifact " in a tool's message, or nullopt if one can: the algorithm
+/// must be known, and six, fast5 and fast6 run on cycles only.  (A loaded
+/// witness's graph is already one the generators can build.)
+[[nodiscard]] std::optional<std::string> unrunnable(const TrialShape& shape);
+
 /// The algorithms a campaign draws from: plan.algos, or all five when it
 /// is empty (valid while `plan` is).  Expects 3 <= n_min <= n_max and
 /// known names.
@@ -127,7 +136,7 @@ void write_plan_header(std::ostream& os, const CampaignPlan& plan,
 /// fault) installed, running exactly the recorded steps under the
 /// artifact's fault plan (and, if artifact.wrapped, under Recovering<>).
 /// Returns the violation message, or "" if the replay is clean.  The
-/// artifact's algo must satisfy known_algorithm().
+/// artifact must not be unrunnable().
 [[nodiscard]] std::string replay_violation(
     const ScheduleArtifact& artifact,
     InjectedFault inject = InjectedFault::none);

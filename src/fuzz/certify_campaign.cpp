@@ -15,20 +15,15 @@ namespace ftcc {
 
 namespace {
 
-/// One threaded trial's configuration, all drawn from the trial seed (the
-/// same family spread as the schedule campaign's generate_trial).
-struct CertifyTrial : TrialShape {
-  bool wrapped = false;
-  std::vector<ThreadedFault> faults;
-};
-
-CertifyTrial generate_certify_trial(const std::vector<std::string>& algos,
-                                    NodeId n_min, NodeId n_max,
-                                    std::uint64_t trial_seed,
-                                    bool inject_faults) {
+/// Draw one threaded trial's configuration from the trial seed (the same
+/// family spread as the schedule campaign's generate_trial) into the
+/// witness it will be saved as; returns the identifier family's name.
+std::string generate_certify_trial(const std::vector<std::string>& algos,
+                                   NodeId n_min, NodeId n_max,
+                                   std::uint64_t trial_seed,
+                                   bool inject_faults, EventLogArtifact& cfg) {
   Xoshiro256 rng(trial_seed);
-  CertifyTrial cfg;
-  draw_trial_shape(algos, n_min, n_max, rng, cfg);
+  std::string ids_family = draw_trial_shape(algos, n_min, n_max, rng, cfg);
   if (inject_faults && rng.chance(0.6)) {
     cfg.wrapped = rng.chance(0.5);
     const std::uint64_t count = 1 + rng.below(2);
@@ -49,17 +44,16 @@ CertifyTrial generate_certify_trial(const std::vector<std::string>& algos,
                 return a.node < b.node;
               });
   }
-  return cfg;
+  return ids_family;
 }
 
 }  // namespace
 
 CertifyReport certify_event_log(const EventLogArtifact& artifact) {
-  FTCC_EXPECTS(known_algorithm(artifact.algo));
+  FTCC_EXPECTS(!unrunnable(artifact));
   const Graph graph = artifact.graph();
   return with_campaign_algorithm(
-      artifact.algo, artifact.wrapped,
-      [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
+      artifact, [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
         return certify_log(algo, graph, artifact.ids, artifact.log);
       });
 }
@@ -106,17 +100,17 @@ CertifyCampaignReport run_certify_campaign(
                              obs::TraceSink* trace,
                              TrialSlot<CertifyCampaignFailure>& slot) {
     std::ostringstream ts;
-    const CertifyTrial cfg = generate_certify_trial(
-        algos, options.n_min, options.n_max, seed, options.inject_faults);
+    EventLogArtifact cfg;
+    const std::string ids_family =
+        generate_certify_trial(algos, options.n_min, options.n_max, seed,
+                               options.inject_faults, cfg);
+    cfg.max_read_attempts = options.max_read_attempts;
     const Graph graph = cfg.graph();
-    ThreadedOptions topts;
-    topts.max_read_attempts = options.max_read_attempts;
-    topts.faults = cfg.faults;
+    const ThreadedOptions topts = cfg.threaded_options();
 
-    HbLog log;
+    HbLog& log = cfg.log;
     const CertifyReport verdict = with_campaign_algorithm(
-        cfg.algo, cfg.wrapped,
-        [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
+        cfg, [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
           ThreadedExecutor<decltype(algo)> ex(algo, graph, cfg.ids, topts);
           ex.attach_hb_log(&log);
           if (options.metrics != nullptr) ex.attach_metrics(&threaded_metrics);
@@ -135,7 +129,7 @@ CertifyCampaignReport run_certify_campaign(
     }
     ts << "trial " << trial << " algo=" << cfg.algo
        << " graph=" << cfg.graph_kind << " n=" << cfg.n
-       << " ids=" << cfg.ids_family << " wrapped=" << (cfg.wrapped ? 1 : 0)
+       << " ids=" << ids_family << " wrapped=" << (cfg.wrapped ? 1 : 0)
        << " faults=" << cfg.faults.size() << " -> ";
     if (verdict.ok()) {
       split[trial] = verdict.atomic ? 0 : 1;
@@ -151,14 +145,7 @@ CertifyCampaignReport run_certify_campaign(
       failure.trial = trial;
       const auto& first = verdict.violations.front();
       failure.verdict = "[" + first.kind + "] " + first.message;
-      failure.artifact.algo = cfg.algo;
-      failure.artifact.graph_kind = cfg.graph_kind;
-      failure.artifact.n = cfg.n;
-      failure.artifact.ids = cfg.ids;
-      failure.artifact.wrapped = cfg.wrapped;
-      failure.artifact.max_read_attempts = options.max_read_attempts;
-      failure.artifact.faults = cfg.faults;
-      failure.artifact.log = log;
+      failure.artifact = std::move(cfg);
       failure.artifact.seed = options.seed;
       failure.artifact.verdict = failure.verdict;
       ts << "FAIL " << failure.verdict << "\n";

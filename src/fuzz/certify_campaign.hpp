@@ -78,7 +78,7 @@ struct CertifyCampaignReport {
 };
 
 /// Certify one saved event log (dispatches on artifact.algo/wrapped).
-/// The artifact's algo must satisfy known_algorithm().
+/// The artifact must not be unrunnable().
 [[nodiscard]] CertifyReport certify_event_log(const EventLogArtifact& artifact);
 
 [[nodiscard]] CertifyCampaignReport run_certify_campaign(

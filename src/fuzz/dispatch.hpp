@@ -1,11 +1,11 @@
 // Campaign algorithm dispatch: maps the campaign's algorithm names
 // ("six", "five", "fast5", "delta2", "fast6" — see campaign_algorithms())
 // to concrete algorithm instances, optionally wrapped in the Recovering<>
-// self-healing layer, and draws the trial shape (algorithm, graph,
-// identifiers) every campaign trial starts from.  Shared by the
-// schedule-fuzzing campaign (fuzz/campaign.cpp), the threaded certify
-// campaign (fuzz/certify_campaign.cpp), the multi-process campaign
-// (dist/dist_campaign.cpp), and tools/race.
+// self-healing layer, and draws the trial shape (graph/trial_shape.hpp:
+// algorithm, graph, identifiers) every campaign trial starts from.
+// Shared by the schedule-fuzzing campaign (fuzz/campaign.cpp), the
+// threaded certify campaign (fuzz/certify_campaign.cpp), the
+// multi-process campaign (dist/dist_campaign.cpp), and tools/race.
 #pragma once
 
 #include <cstdint>
@@ -19,23 +19,24 @@
 #include "core/algo4_general_graph.hpp"
 #include "core/algo5_fast_six_coloring.hpp"
 #include "core/recovering.hpp"
-#include "graph/graph.hpp"
 #include "graph/ids.hpp"
+#include "graph/trial_shape.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace ftcc {
 
-/// Dispatch by campaign algorithm name; f receives the algorithm instance
-/// (wrapped in Recovering<> when `wrapped`), its mid-run palette component
-/// bound (each candidate's mex is over at most `bound` values), and
-/// whether it maintains a_p <= b_p.
+/// Dispatch on a trial shape's algorithm name; f receives the algorithm
+/// instance (wrapped in Recovering<> when shape.wrapped), its mid-run
+/// palette component bound (each candidate's mex is over at most `bound`
+/// values), and whether it maintains a_p <= b_p.
 template <typename F>
-auto with_campaign_algorithm(const std::string& name, bool wrapped, F&& f) {
+auto with_campaign_algorithm(const TrialShape& shape, F&& f) {
   const auto dispatch = [&](auto algo, std::uint64_t bound, bool ordered) {
-    if (wrapped) return f(Recovering<decltype(algo)>{}, bound, ordered);
+    if (shape.wrapped) return f(Recovering<decltype(algo)>{}, bound, ordered);
     return f(std::move(algo), bound, ordered);
   };
+  const std::string& name = shape.algo;
   if (name == "six") return dispatch(SixColoring{}, std::uint64_t{2}, false);
   if (name == "five")
     return dispatch(FiveColoringLinear{}, std::uint64_t{4}, true);
@@ -47,25 +48,14 @@ auto with_campaign_algorithm(const std::string& name, bool wrapped, F&& f) {
   return dispatch(SixColoringFast{}, std::uint64_t{2}, false);
 }
 
-/// What a campaign trial runs on, before any faults or scheduler.
-struct TrialShape {
-  std::string algo;
-  std::string graph_kind;  ///< "cycle" or "path"
-  NodeId n = 0;
-  IdAssignment ids;
-  std::string ids_family;
-
-  [[nodiscard]] Graph graph() const {
-    return graph_kind == "path" ? make_path(n) : make_cycle(n);
-  }
-};
-
-/// Draw a trial's shape, the first draws of its trial stream.  Every
-/// campaign's seed contract (report bytes, decision digests) rests on
-/// this exact consumption order, so it lives in one place.
-inline void draw_trial_shape(const std::vector<std::string>& algos,
-                             NodeId n_min, NodeId n_max, Xoshiro256& rng,
-                             TrialShape& shape) {
+/// Draw a trial's shape (all of it but `wrapped`, which is the caller's),
+/// the first draws of its trial stream, and return the name of the
+/// identifier family drawn, for the report line.  Every campaign's seed
+/// contract (report bytes, decision digests) rests on this exact
+/// consumption order, so it lives in one place.
+inline std::string draw_trial_shape(const std::vector<std::string>& algos,
+                                    NodeId n_min, NodeId n_max,
+                                    Xoshiro256& rng, TrialShape& shape) {
   shape.algo = algos[rng.below(algos.size())];
   shape.n = n_min + static_cast<NodeId>(rng.below(n_max - n_min + 1u));
   // Algorithm 2 is the one specified for paths as well as cycles (§2.1).
@@ -74,26 +64,21 @@ inline void draw_trial_shape(const std::vector<std::string>& algos,
   switch (rng.below(5)) {
     case 0:
       shape.ids = random_ids(shape.n, rng());
-      shape.ids_family = "random";
-      break;
+      return "random";
     case 1:
       shape.ids = sorted_ids(shape.n);
-      shape.ids_family = "sorted";
-      break;
+      return "sorted";
     case 2:
       shape.ids = alternating_ids(shape.n);
-      shape.ids_family = "alternating";
-      break;
+      return "alternating";
     case 3: {
       const NodeId run = 1 + static_cast<NodeId>(rng.below(shape.n - 1));
       shape.ids = zigzag_ids(shape.n, run);
-      shape.ids_family = "zigzag(" + std::to_string(run) + ")";
-      break;
+      return "zigzag(" + std::to_string(run) + ")";
     }
     default:
       shape.ids = permutation_ids(shape.n, rng());
-      shape.ids_family = "perm";
-      break;
+      return "perm";
   }
 }
 

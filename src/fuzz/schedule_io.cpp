@@ -1,30 +1,8 @@
 #include "fuzz/schedule_io.hpp"
 
-#include <charconv>
-#include <fstream>
 #include <sstream>
 
 namespace ftcc {
-
-namespace {
-
-bool parse_u64(const std::string& token, std::uint64_t& out) {
-  const char* first = token.data();
-  const char* last = first + token.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc{} && ptr == last;
-}
-
-bool fail(std::string* error, const std::string& message) {
-  if (error) *error = message;
-  return false;
-}
-
-}  // namespace
-
-Graph ScheduleArtifact::graph() const {
-  return graph_kind == "path" ? make_path(n) : make_cycle(n);
-}
 
 CrashPlan ScheduleArtifact::crash_plan() const {
   CrashPlan plan(n);
@@ -43,11 +21,7 @@ FaultPlan ScheduleArtifact::fault_plan() const {
 std::string serialize_schedule(const ScheduleArtifact& artifact) {
   std::ostringstream os;
   os << "ftcc-schedule v1\n";
-  os << "algo " << artifact.algo << "\n";
-  os << "graph " << artifact.graph_kind << " " << artifact.n << "\n";
-  os << "ids";
-  for (std::uint64_t id : artifact.ids) os << " " << id;
-  os << "\n";
+  write_shape_lines(os, artifact);
   for (const auto& [v, t] : artifact.crash_at_step)
     os << "crash at_step " << v << " " << t << "\n";
   for (const auto& [v, k] : artifact.crash_after_acts)
@@ -60,7 +34,7 @@ std::string serialize_schedule(const ScheduleArtifact& artifact) {
     os << "corrupt " << c.node << " " << c.fault.at_step << " "
        << corruption_kind_name(c.fault.kind) << " " << c.fault.word << " "
        << c.fault.value << "\n";
-  if (artifact.wrapped) os << "wrapped 1\n";
+  write_wrapped_line(os, artifact);
   os << "steps " << artifact.sigmas.size() << "\n";
   for (const auto& sigma : artifact.sigmas) {
     os << "sigma";
@@ -82,10 +56,13 @@ namespace {
 // `artifact` and leaves `error` untouched.
 bool parse_into(const std::string& text, ScheduleArtifact& artifact,
                 std::string* error) {
+  const auto fail = [error](const std::string& message) {
+    return witness_error(error, message);
+  };
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != "ftcc-schedule v1")
-    return fail(error, "missing 'ftcc-schedule v1' header");
+    return fail("missing 'ftcc-schedule v1' header");
   bool saw_steps = false;
   std::uint64_t declared_steps = 0;
   while (std::getline(in, line)) {
@@ -93,74 +70,56 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
     std::istringstream ls(line);
     std::string directive;
     ls >> directive;
-    if (directive == "algo") {
-      if (!(ls >> artifact.algo)) return fail(error, "algo: missing name");
-    } else if (directive == "graph") {
-      std::string kind, count;
-      if (!(ls >> kind >> count)) return fail(error, "graph: expected kind and n");
-      if (kind != "cycle" && kind != "path")
-        return fail(error, "graph: unknown kind '" + kind + "'");
-      std::uint64_t n = 0;
-      if (!parse_u64(count, n)) return fail(error, "graph: bad node count");
-      artifact.graph_kind = kind;
-      artifact.n = static_cast<NodeId>(n);
-    } else if (directive == "ids") {
-      std::string token;
-      artifact.ids.clear();
-      while (ls >> token) {
-        std::uint64_t id = 0;
-        if (!parse_u64(token, id)) return fail(error, "ids: bad value '" + token + "'");
-        artifact.ids.push_back(id);
-      }
-    } else if (directive == "crash") {
+    switch (parse_shape_line(directive, ls, artifact, error)) {
+      case ShapeLine::error: return false;
+      case ShapeLine::parsed: continue;
+      case ShapeLine::other: break;
+    }
+    if (directive == "crash") {
       std::string kind, node, value;
-      if (!(ls >> kind >> node >> value)) return fail(error, "crash: expected kind, node, value");
+      if (!(ls >> kind >> node >> value))
+        return fail("crash: expected kind, node, value");
       std::uint64_t v = 0, x = 0;
       if (!parse_u64(node, v) || !parse_u64(value, x))
-        return fail(error, "crash: bad number");
+        return fail("crash: bad number");
       if (kind == "at_step") {
         artifact.crash_at_step.emplace_back(static_cast<NodeId>(v), x);
       } else if (kind == "after_acts") {
         artifact.crash_after_acts.emplace_back(static_cast<NodeId>(v), x);
       } else {
-        return fail(error, "crash: unknown kind '" + kind + "'");
+        return fail("crash: unknown kind '" + kind + "'");
       }
     } else if (directive == "recover") {
       std::string node, at_step, down_steps, reg;
       if (!(ls >> node >> at_step >> down_steps >> reg))
-        return fail(error, "recover: expected node, at_step, down_steps, reg");
+        return fail("recover: expected node, at_step, down_steps, reg");
       std::uint64_t v = 0;
       RecoveryFault fault;
       if (!parse_u64(node, v) || !parse_u64(at_step, fault.at_step) ||
           !parse_u64(down_steps, fault.down_steps))
-        return fail(error, "recover: bad number");
+        return fail("recover: bad number");
       const auto parsed = parse_recovered_register(reg);
-      if (!parsed) return fail(error, "recover: unknown register policy '" + reg + "'");
+      if (!parsed)
+        return fail("recover: unknown register policy '" + reg + "'");
       fault.reg = *parsed;
       artifact.recoveries.push_back({static_cast<NodeId>(v), fault});
     } else if (directive == "corrupt") {
       std::string node, at_step, kind, word, value;
       if (!(ls >> node >> at_step >> kind >> word >> value))
-        return fail(error, "corrupt: expected node, at_step, kind, word, value");
+        return fail("corrupt: expected node, at_step, kind, word, value");
       std::uint64_t v = 0;
       CorruptionFault fault;
       if (!parse_u64(node, v) || !parse_u64(at_step, fault.at_step) ||
           !parse_u64(word, fault.word) || !parse_u64(value, fault.value))
-        return fail(error, "corrupt: bad number");
+        return fail("corrupt: bad number");
       const auto parsed = parse_corruption_kind(kind);
-      if (!parsed) return fail(error, "corrupt: unknown kind '" + kind + "'");
+      if (!parsed) return fail("corrupt: unknown kind '" + kind + "'");
       fault.kind = *parsed;
       artifact.corruptions.push_back({static_cast<NodeId>(v), fault});
-    } else if (directive == "wrapped") {
-      std::string token;
-      std::uint64_t flag = 0;
-      if (!(ls >> token) || !parse_u64(token, flag) || flag > 1)
-        return fail(error, "wrapped: expected 0 or 1");
-      artifact.wrapped = flag == 1;
     } else if (directive == "steps") {
       std::string count;
       if (!(ls >> count) || !parse_u64(count, declared_steps))
-        return fail(error, "steps: bad count");
+        return fail("steps: bad count");
       saw_steps = true;
     } else if (directive == "sigma") {
       std::vector<NodeId> sigma;
@@ -168,44 +127,38 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
       while (ls >> token) {
         if (token == "-") break;  // explicit empty activation set
         std::uint64_t v = 0;
-        if (!parse_u64(token, v)) return fail(error, "sigma: bad node '" + token + "'");
+        if (!parse_u64(token, v))
+          return fail("sigma: bad node '" + token + "'");
         sigma.push_back(static_cast<NodeId>(v));
       }
       artifact.sigmas.push_back(std::move(sigma));
     } else if (directive == "seed") {
       std::string token;
       if (!(ls >> token) || !parse_u64(token, artifact.seed))
-        return fail(error, "seed: bad value");
+        return fail("seed: bad value");
     } else if (directive == "violation") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      artifact.violation = rest;
+      artifact.violation = rest_of_line(ls);
     } else {
-      return fail(error, "unknown directive '" + directive + "'");
+      return fail("unknown directive '" + directive + "'");
     }
   }
-  if (artifact.algo.empty()) return fail(error, "missing 'algo' line");
-  if (artifact.n == 0) return fail(error, "missing 'graph' line");
-  if (artifact.ids.size() != artifact.n)
-    return fail(error, "ids: expected " + std::to_string(artifact.n) +
-                           " values, got " + std::to_string(artifact.ids.size()));
-  if (!saw_steps) return fail(error, "missing 'steps' line");
+  if (!check_shape(artifact, error)) return false;
+  if (!saw_steps) return fail("missing 'steps' line");
   if (artifact.sigmas.size() != declared_steps)
-    return fail(error, "truncated schedule: declared " +
-                           std::to_string(declared_steps) + " steps, found " +
-                           std::to_string(artifact.sigmas.size()));
+    return fail("truncated schedule: declared " +
+                std::to_string(declared_steps) + " steps, found " +
+                std::to_string(artifact.sigmas.size()));
   for (const auto& sigma : artifact.sigmas)
     for (NodeId v : sigma)
-      if (v >= artifact.n) return fail(error, "sigma: node out of range");
+      if (v >= artifact.n) return fail("sigma: node out of range");
   for (const auto& [v, t] : artifact.crash_at_step)
-    if (v >= artifact.n) return fail(error, "crash: node out of range");
+    if (v >= artifact.n) return fail("crash: node out of range");
   for (const auto& [v, k] : artifact.crash_after_acts)
-    if (v >= artifact.n) return fail(error, "crash: node out of range");
+    if (v >= artifact.n) return fail("crash: node out of range");
   for (const auto& r : artifact.recoveries)
-    if (r.node >= artifact.n) return fail(error, "recover: node out of range");
+    if (r.node >= artifact.n) return fail("recover: node out of range");
   for (const auto& c : artifact.corruptions)
-    if (c.node >= artifact.n) return fail(error, "corrupt: node out of range");
+    if (c.node >= artifact.n) return fail("corrupt: node out of range");
   return true;
 }
 
@@ -219,22 +172,12 @@ std::optional<ScheduleArtifact> parse_schedule(const std::string& text,
 }
 
 bool save_schedule(const std::string& path, const ScheduleArtifact& artifact) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << serialize_schedule(artifact);
-  return static_cast<bool>(out);
+  return write_file(path, serialize_schedule(artifact));
 }
 
 std::optional<ScheduleArtifact> load_schedule(const std::string& path,
                                               std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    if (error) *error = "cannot open '" + path + "'";
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_schedule(buffer.str(), error);
+  return load_witness(path, error, parse_schedule);
 }
 
 }  // namespace ftcc

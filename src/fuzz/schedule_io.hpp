@@ -21,8 +21,13 @@
 //   seed 12345
 //   violation published identifiers collide on edge (0,1) ...
 //
-// `sigma -` is the empty activation set (the adversary idles a step);
-// `seed` and `violation` are provenance, ignored on replay.  The fault
+// The first three lines and `wrapped` are the trial shape, read and
+// written by the codec the event-log witness shares
+// (graph/trial_shape.hpp).  There is one `sigma` line per executor step:
+// `sigma -` is the empty activation set, both when the adversary idles a
+// step and when every working node sat in a crash-recovery down window
+// and the executor stepped without asking the scheduler.  `seed` and
+// `violation` are provenance, ignored on replay.  The fault
 // directives are optional (absent = crash-stop only, exactly the original
 // v1 format): `recover node at_step down_steps bottom|zero|stale` is a
 // crash-recovery fault, `corrupt node at_step flip|overwrite word value` a
@@ -41,7 +46,7 @@
 
 #include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
-#include "graph/ids.hpp"
+#include "graph/trial_shape.hpp"
 #include "runtime/crash.hpp"
 #include "sched/schedulers.hpp"
 
@@ -63,35 +68,26 @@ struct ArtifactCorruption {
                          const ArtifactCorruption&) = default;
 };
 
-struct ScheduleArtifact {
-  /// Algorithm name as accepted by the campaign runner ("six", "five",
-  /// "fast5", "delta2", "fast6").
-  std::string algo;
-  /// Topology: "cycle" or "path".
-  std::string graph_kind = "cycle";
-  NodeId n = 0;
-  IdAssignment ids;
+/// A replayable witness: the trial's shape, its faults, and the σ
+/// sequence.  Without σ it is a trial's whole configuration (the fuzz
+/// campaign draws one per trial and hands it on as the witness).
+struct ScheduleArtifact : TrialShape {
   /// Crash plan, flattened: (node, step) / (node, activation count) pairs.
   std::vector<std::pair<NodeId, std::uint64_t>> crash_at_step;
   std::vector<std::pair<NodeId, std::uint64_t>> crash_after_acts;
   /// Beyond-crash-stop faults (empty = plain v1 artifact).
   std::vector<ArtifactRecovery> recoveries;
   std::vector<ArtifactCorruption> corruptions;
-  /// True iff the run wrapped the algorithm in Recovering<>.
-  bool wrapped = false;
-  /// The σ sequence; steps beyond it replay synchronously.
+  /// The σ sequence, one set per executor step (an idle step is empty);
+  /// steps beyond it replay synchronously.
   std::vector<std::vector<NodeId>> sigmas;
   /// Provenance (not used on replay): master seed and violation message.
   std::uint64_t seed = 0;
   std::string violation;
 
-  [[nodiscard]] Graph graph() const;
   [[nodiscard]] CrashPlan crash_plan() const;
   /// Crash plan plus recovery and corruption faults.
   [[nodiscard]] FaultPlan fault_plan() const;
-  [[nodiscard]] bool has_faults() const {
-    return !recoveries.empty() || !corruptions.empty();
-  }
   [[nodiscard]] ReplayScheduler replay() const { return ReplayScheduler(sigmas); }
 
   friend bool operator==(const ScheduleArtifact&,

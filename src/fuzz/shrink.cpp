@@ -96,52 +96,25 @@ bool thin_pass(ScheduleArtifact& best, Checker& check,
   return changed;
 }
 
-/// Drop crash-plan entries one at a time.
-bool crash_pass(ScheduleArtifact& best, Checker& check,
-                std::uint64_t& crashes_removed) {
+/// Drop the entries of one crash or fault list one at a time, so the
+/// minimized artifact carries exactly the entries the failure needs.
+template <typename List>
+bool drop_pass(ScheduleArtifact& best, Checker& check,
+               List ScheduleArtifact::*list, std::uint64_t& removed) {
   bool changed = false;
-  const auto drop_each = [&](auto member) {
-    for (std::size_t i = 0; i < (best.*member).size();) {
-      ScheduleArtifact candidate = best;
-      (candidate.*member)
-          .erase((candidate.*member).begin() + static_cast<std::ptrdiff_t>(i));
-      if (check.fails(candidate)) {
-        ++crashes_removed;
-        best = std::move(candidate);
-        changed = true;
-      } else {
-        ++i;
-      }
-      if (check.exhausted()) return;
+  for (std::size_t i = 0; i < (best.*list).size();) {
+    ScheduleArtifact candidate = best;
+    (candidate.*list)
+        .erase((candidate.*list).begin() + static_cast<std::ptrdiff_t>(i));
+    if (check.fails(candidate)) {
+      ++removed;
+      best = std::move(candidate);
+      changed = true;
+    } else {
+      ++i;
     }
-  };
-  drop_each(&ScheduleArtifact::crash_at_step);
-  drop_each(&ScheduleArtifact::crash_after_acts);
-  return changed;
-}
-
-/// Drop crash-recovery and corruption entries one at a time, so the
-/// minimized artifact carries exactly the faults the failure needs.
-bool fault_pass(ScheduleArtifact& best, Checker& check,
-                std::uint64_t& faults_removed) {
-  bool changed = false;
-  const auto drop_each = [&](auto member) {
-    for (std::size_t i = 0; i < (best.*member).size();) {
-      ScheduleArtifact candidate = best;
-      (candidate.*member)
-          .erase((candidate.*member).begin() + static_cast<std::ptrdiff_t>(i));
-      if (check.fails(candidate)) {
-        ++faults_removed;
-        best = std::move(candidate);
-        changed = true;
-      } else {
-        ++i;
-      }
-      if (check.exhausted()) return;
-    }
-  };
-  drop_each(&ScheduleArtifact::recoveries);
-  drop_each(&ScheduleArtifact::corruptions);
+    if (check.exhausted()) return changed;
+  }
   return changed;
 }
 
@@ -210,8 +183,16 @@ ShrinkResult shrink_artifact(const ScheduleArtifact& failing,
     changed = false;
     changed |= chunk_pass(result.artifact, check, result.steps_removed);
     changed |= thin_pass(result.artifact, check, result.activations_removed);
-    changed |= crash_pass(result.artifact, check, result.crashes_removed);
-    changed |= fault_pass(result.artifact, check, result.faults_removed);
+    changed |= drop_pass(result.artifact, check,
+                         &ScheduleArtifact::crash_at_step,
+                         result.crashes_removed);
+    changed |= drop_pass(result.artifact, check,
+                         &ScheduleArtifact::crash_after_acts,
+                         result.crashes_removed);
+    changed |= drop_pass(result.artifact, check,
+                         &ScheduleArtifact::recoveries, result.faults_removed);
+    changed |= drop_pass(result.artifact, check,
+                         &ScheduleArtifact::corruptions, result.faults_removed);
     changed |= splice_pass(result.artifact, check, options.min_nodes,
                            result.nodes_removed);
   }

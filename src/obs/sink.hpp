@@ -49,8 +49,10 @@ bool write_metrics_jsonl(const std::string& path, const Registry& registry,
 
 /// One `kind:"progress"` follow line (newline-terminated).  `counts`
 /// carries the numeric tallies, `labels` free-form strings (tool name);
-/// "schema" and "kind" are reserved, keys emit in sorted map order so
-/// streams diff line-for-line.
+/// "schema" and "kind" are reserved, and keys emit in sorted map order.
+/// Two streams of one campaign diff line-for-line only at --jobs=1: with
+/// more workers, a snapshot's tallies count whichever trials happened to
+/// finish when `done` crossed the cadence.
 [[nodiscard]] std::string progress_line(
     const std::map<std::string, std::uint64_t>& counts,
     const std::map<std::string, std::string>& labels = {});

@@ -55,7 +55,6 @@
 #include "runtime/register_file.hpp"
 #include "runtime/result.hpp"
 #include "runtime/scheduler.hpp"
-#include "runtime/trace.hpp"
 #include "util/assert.hpp"
 
 namespace ftcc {
@@ -82,8 +81,8 @@ class Executor {
   /// Re-arm for a fresh trial, reusing every buffer this executor ever
   /// grew (the per-worker reuse path of the parallel campaigns).  The
   /// result is indistinguishable from a newly constructed executor:
-  /// invariants are cleared and trace/metrics are detached, exactly like
-  /// a fresh build.  `graph` must outlive the next run, as always.
+  /// invariants are cleared and metrics are detached, exactly like a
+  /// fresh build.  `graph` must outlive the next run, as always.
   void reset(A algo, const Graph& graph, const IdAssignment& ids,
              FaultPlan fault_plan = {}) {
     algo_ = std::move(algo);
@@ -108,7 +107,6 @@ class Executor {
     recoveries_.assign(n, 0);
     outputs_.assign(n, std::nullopt);
     invariants_.clear();
-    trace_ = nullptr;
     metrics_ = nullptr;
     pending_ = PendingMetrics{};
     violation_.reset();
@@ -130,16 +128,12 @@ class Executor {
  public:
   void add_invariant(Invariant inv) { invariants_.push_back(std::move(inv)); }
 
-  /// Attach an event log filled for the rest of the execution; the trace
-  /// must outlive the executor (or be detached with attach_trace(nullptr)).
-  void attach_trace(Trace* trace) { trace_ = trace; }
-
-  /// Attach a metric bundle (obs::ExecutorMetrics::create); like the
-  /// trace, the cells must outlive the executor.  Detached (the default),
-  /// instrumentation costs one branch per event.  Events accumulate in
-  /// plain per-executor integers and reach the shared atomic cells in one
-  /// flush_metrics() pass at the end of each run() (the batching that
-  /// keeps the attached overhead inside the <=5% budget of bench_obs).
+  /// Attach a metric bundle (obs::ExecutorMetrics::create); the cells
+  /// must outlive the executor.  Detached (the default), instrumentation
+  /// costs one branch per event.  Events accumulate in plain per-executor
+  /// integers and reach the shared atomic cells in one flush_metrics()
+  /// pass at the end of each run() (the batching that keeps the attached
+  /// overhead inside the <=5% budget of bench_obs).
   void attach_metrics(const obs::ExecutorMetrics* metrics) {
     metrics_ = metrics;
   }
@@ -196,14 +190,10 @@ class Executor {
     // separate snapshot phase.
     for (NodeId v : scratch_sigma_) {
       ++activations_[v];
-      if (trace_) trace_->record(now_, v, TraceEventKind::activated);
       auto out = algo_.step(states_[v], gather_view(v));
       if (out) {
         outputs_[v] = std::move(*out);
         terminated_[v] = true;
-        if (trace_)
-          trace_->record(now_, v, TraceEventKind::returned,
-                         A::color_code(*outputs_[v]));
         if (metrics_) {
           ++pending_.terminations;
           ++pending_.term_step_buckets[log2_bucket_index(now_)];
@@ -212,7 +202,6 @@ class Executor {
       }
       if (fault_plan_.crashes_at(v, now_, activations_[v])) {
         crashed_[v] = true;
-        if (trace_) trace_->record(now_, v, TraceEventKind::crashed);
         if (metrics_) ++pending_.crashes;
       }
     }
@@ -223,7 +212,9 @@ class Executor {
   /// Run under a scheduler until every node terminated or crashed, or the
   /// step budget is exhausted.  While a crash-recovery revival is pending
   /// the run idles through empty steps rather than stopping early, so a
-  /// revived node always gets its chance to re-quiesce.
+  /// revived node always gets its chance to re-quiesce.  Idle steps do
+  /// not consult the scheduler: schedules are indexed by step number
+  /// (ReplayScheduler, RecordingScheduler), never by call count.
   ExecutionResult<Output> run(Scheduler& sched, std::uint64_t max_steps) {
     while (now_ < max_steps) {
       refresh_working();
@@ -300,8 +291,6 @@ class Executor {
     for (NodeId v = 0; v < graph_->node_count(); ++v) {
       if (!crashed_[v] && fault_plan_.crashes_at(v, now_, activations_[v])) {
         crashed_[v] = true;
-        if (trace_ && !terminated_[v])
-          trace_->record(now_, v, TraceEventKind::crashed);
         if (metrics_ && !terminated_[v]) ++pending_.crashes;
       }
       apply_recovery(v);
@@ -340,7 +329,6 @@ class Executor {
           break;
       }
       tainted_[v] = registers_.has(v);
-      if (trace_) trace_->record(now_, v, TraceEventKind::recovered);
       if (metrics_) ++pending_.recoveries;
     }
   }
@@ -361,7 +349,6 @@ class Executor {
           words_scratch_[i] = c.value;
         registers_.store(v, A::decode_register(words_scratch_));
         tainted_[v] = true;
-        if (trace_) trace_->record(now_, v, TraceEventKind::corrupted);
         if (metrics_) ++pending_.corruptions;
       }
     }
@@ -415,7 +402,6 @@ class Executor {
   std::vector<std::uint64_t> recoveries_;
   std::vector<std::optional<Output>> outputs_;
   std::vector<Invariant> invariants_;
-  Trace* trace_ = nullptr;
   const obs::ExecutorMetrics* metrics_ = nullptr;
   /// Locally batched metric events (see attach_metrics / flush_metrics).
   struct PendingMetrics {

@@ -52,14 +52,6 @@ struct ExecutionResult {
     return c;
   }
 
-  /// Nodes with the given fate, in index order.
-  [[nodiscard]] std::vector<NodeId> nodes_with_fate(NodeFate f) const {
-    std::vector<NodeId> out;
-    for (NodeId v = 0; v < fates.size(); ++v)
-      if (fates[v] == f) out.push_back(v);
-    return out;
-  }
-
   /// Round complexity of the execution: max activations over all nodes.
   [[nodiscard]] std::uint64_t max_activations() const {
     std::uint64_t m = 0;

@@ -16,13 +16,15 @@
 //                      the obstruction-free regime.
 //   Staggered        — node i sleeps i*delay steps, then runs every step;
 //                      late wake-ups, exercising ⊥ registers.
-//   Replay           — an explicit σ sequence, for unit tests and for
-//                      counterexamples exported by the model checker.
+//   Replay           — an explicit σ sequence, for unit tests, fuzz
+//                      witnesses and model-checker counterexamples; its
+//                      inverse, Recording, wraps any of the others.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/scheduler.hpp"
@@ -164,6 +166,36 @@ class ReplayScheduler final : public Scheduler {
 
  private:
   std::vector<std::vector<NodeId>> sigmas_;
+};
+
+/// Records the σ sequence an inner scheduler produces.  The executor is
+/// a deterministic function of (algorithm, graph, ids, fault plan, σ), so
+/// a ReplayScheduler over the recording reproduces the run exactly,
+/// violation included (a fuzz witness, fuzz/schedule_io.hpp).
+class RecordingScheduler final : public Scheduler {
+ public:
+  explicit RecordingScheduler(Scheduler& inner) : inner_(&inner) {}
+
+  std::vector<NodeId> next(std::span<const NodeId> working,
+                           std::uint64_t t) override {
+    // Indexed by step, as ReplayScheduler reads it: a step the executor
+    // idled through without asking (every working node down in a
+    // crash-recovery window) stays an empty set.
+    recorded_.resize(t - 1);
+    recorded_.push_back(inner_->next(working, t));
+    return recorded_.back();
+  }
+
+  /// The σ sequence of a run that took `steps` steps, one set per step,
+  /// trailing idle steps included.
+  [[nodiscard]] std::vector<std::vector<NodeId>> take(std::uint64_t steps) {
+    recorded_.resize(steps);
+    return std::move(recorded_);
+  }
+
+ private:
+  Scheduler* inner_;
+  std::vector<std::vector<NodeId>> recorded_;
 };
 
 /// Named scheduler factory for sweeps: "sync", "random", "single",

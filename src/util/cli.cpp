@@ -7,20 +7,11 @@
 #include <cstdlib>
 
 #include "util/assert.hpp"
+#include "util/text_io.hpp"
 
 namespace ftcc {
 
 namespace {
-
-/// All decimal digits (no sign, no space) and no more than 2^64 - 1.
-bool valid_u64(const std::string& value) {
-  if (value.empty()) return false;
-  for (const char c : value)
-    if (c < '0' || c > '9') return false;
-  errno = 0;
-  (void)std::strtoull(value.c_str(), nullptr, 10);
-  return errno != ERANGE;
-}
 
 /// The whole string is one finite floating-point number (strtod would
 /// skip leading space; the check does not).
@@ -101,7 +92,8 @@ bool Cli::parse(int argc, char** argv) {
       it->second.value = arg.substr(eq + 1);
     }
     const Entry& entry = it->second;
-    if ((entry.kind == Entry::Kind::u64 && !valid_u64(entry.value)) ||
+    std::uint64_t u64 = 0;
+    if ((entry.kind == Entry::Kind::u64 && !parse_u64(entry.value, u64)) ||
         (entry.kind == Entry::Kind::real && !valid_double(entry.value))) {
       std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
                    entry.value.c_str());
@@ -120,8 +112,9 @@ const Cli::Entry& Cli::lookup(const std::string& name,
 }
 
 std::uint64_t Cli::get_u64(const std::string& name) const {
-  return std::strtoull(lookup(name, Entry::Kind::u64).value.c_str(), nullptr,
-                       10);
+  std::uint64_t value = 0;  // parse() admitted only values parse_u64 reads
+  (void)parse_u64(lookup(name, Entry::Kind::u64).value, value);
+  return value;
 }
 
 double Cli::get_double(const std::string& name) const {

@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "core/algo1_six_coloring.hpp"
 #include "fuzz/campaign.hpp"
 #include "report_digest.hpp"
+#include "runtime/executor.hpp"
 
 namespace ftcc {
 namespace {
@@ -270,6 +272,50 @@ TEST(Campaign, ReplayViolationIsCleanOnAnEmptySchedule) {
   artifact.n = 4;
   artifact.ids = {10, 20, 30, 40};
   EXPECT_EQ(replay_violation(artifact), "");
+}
+
+TEST(Campaign, UnrunnableNamesShapesNoAlgorithmCanRun) {
+  TrialShape shape;
+  shape.n = 4;
+  for (const std::string& algo : campaign_algorithms()) {
+    shape.algo = algo;
+    shape.graph_kind = "cycle";
+    EXPECT_FALSE(unrunnable(shape).has_value()) << algo;
+    shape.graph_kind = "path";
+    // Algorithms 2 and 4 are the ones specified for paths too.
+    EXPECT_EQ(unrunnable(shape).has_value(), algo != "five" && algo != "delta2")
+        << algo;
+  }
+  shape.algo = "six";
+  EXPECT_EQ(unrunnable(shape).value_or(""),
+            "runs cycle-only algorithm 'six' on a path");
+  shape.algo = "seven";
+  shape.graph_kind = "cycle";
+  EXPECT_EQ(unrunnable(shape).value_or(""), "names unknown algorithm 'seven'");
+}
+
+TEST(Campaign, WitnessAcrossADownWindowReproducesTheViolation) {
+  // Every node is out at step 1 (two crash, node 0 goes down until step
+  // 6), so the executor idles through steps 2-6; node 0 decides at step 7,
+  // which the injected fault reports.  The witness records the idle steps
+  // as empty sets, so replaying exactly its seven steps reproduces it.
+  ScheduleArtifact witness;
+  witness.algo = "six";
+  witness.n = 3;
+  witness.ids = {10, 20, 30};
+  witness.crash_at_step = {{1, 1}, {2, 1}};
+  witness.recoveries = {{0, {1, 5, RecoveredRegister::bottom}}};
+  const FaultPlan plan = witness.fault_plan();
+  const Graph g = witness.graph();
+  Executor<SixColoring> ex(SixColoring{}, g, witness.ids, plan);
+  SynchronousScheduler sched;
+  RecordingScheduler recorder(sched);
+  const auto result = ex.run(recorder, 1000);
+  ASSERT_EQ(result.steps, 7u);
+  witness.sigmas = recorder.take(result.steps);
+  ASSERT_EQ(witness.sigmas.size(), 7u);
+  EXPECT_EQ(replay_violation(witness, InjectedFault::no_termination),
+            "injected fault: node 0 terminated");
 }
 
 }  // namespace

@@ -100,6 +100,39 @@ TEST(ScheduleIo, FaultDirectivesRoundTrip) {
   EXPECT_EQ(serialize_schedule(*parsed), text);
 }
 
+// The exact bytes of a faulted witness, recorded before the codec was
+// shared with the event-log format.  Both directions are pinned: the
+// writer must produce this text, and the text must parse back to the
+// artifact, so a change to the format on both sides at once still fails.
+constexpr const char* kFaultedScheduleText =
+    "ftcc-schedule v1\n"
+    "algo fast5\n"
+    "graph cycle 5\n"
+    "ids 100 7 42 9 63\n"
+    "crash at_step 2 7\n"
+    "crash after_acts 3 1\n"
+    "recover 1 4 3 stale\n"
+    "recover 3 2 1 zero\n"
+    "corrupt 0 6 flip 2 17\n"
+    "corrupt 0 6 overwrite 1 999\n"
+    "corrupt 2 1 overwrite 0 42\n"
+    "wrapped 1\n"
+    "steps 4\n"
+    "sigma 0 1 2\n"
+    "sigma -\n"
+    "sigma 3 4\n"
+    "sigma 0\n"
+    "seed 12345\n"
+    "violation published identifiers collide on edge (0,1): X=7 at step 3\n";
+
+TEST(ScheduleIo, FaultedWitnessBytesArePinned) {
+  EXPECT_EQ(serialize_schedule(faulted_artifact()), kFaultedScheduleText);
+  std::string error;
+  const auto parsed = parse_schedule(kFaultedScheduleText, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(*parsed, faulted_artifact());
+}
+
 TEST(ScheduleIo, FaultFreeSerializationIsByteCompatibleWithTheOldFormat) {
   // An artifact without faults must serialize to exactly the pre-fault
   // format: no new directives appear, so old readers still parse it.
@@ -187,6 +220,15 @@ TEST(ScheduleIo, MalformedInputsReportErrors) {
       {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\nsteps 0\n"
        "crash sometimes 0 1\n",
        "unknown kind"},
+      // Graphs the generators cannot build.
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 2\nids 1 2\nsteps 0\n",
+       "a cycle needs n >= 3"},
+      {"ftcc-schedule v1\nalgo five\ngraph path 1\nids 1\nsteps 0\n",
+       "a path needs n >= 2"},
+      // A node count past NodeId must not wrap to a small graph.
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 4294967299\nids 1 2 3\n"
+       "steps 0\n",
+       "bad node count"},
   };
   for (const auto& c : cases) {
     std::string error;

@@ -56,6 +56,56 @@ TEST(EventLogIo, RoundTripsThroughText) {
   EXPECT_EQ(serialize_event_log(*parsed), text);
 }
 
+// The exact bytes of a witness holding every event kind, both threaded
+// fault kinds and a verdict, recorded before the codec was shared with
+// the schedule format.  Both directions are pinned, so a change to the
+// format on both sides at once still fails.
+constexpr const char* kEveryEventText =
+    "ftcc-eventlog v1\n"
+    "algo six\n"
+    "graph cycle 3\n"
+    "ids 10 20 30\n"
+    "wrapped 1\n"
+    "max_read_attempts 4096\n"
+    "fault 1 corrupt 0 3735928559\n"
+    "fault 2 stall 1\n"
+    "node 0 4\n"
+    "pub 0 2 10 0 0\n"
+    "read 0 1 2 99 1 2\n"
+    "read 0 2 0\n"
+    "fin 0 3\n"
+    "node 1 3\n"
+    "pub 0 2 20 0 0\n"
+    "adv 0 4 99 1 2\n"
+    "rev 1 5\n"
+    "node 2 3\n"
+    "pub 0 2 30 0 0\n"
+    "rdto 1 0\n"
+    "stall 1 3\n"
+    "seed 1234\n"
+    "verdict some diagnosis with spaces\n";
+
+TEST(EventLogIo, EveryEventKindBytesArePinned) {
+  EventLogArtifact art = sample_artifact();
+  art.log.record(1, {HbEventKind::revive, 1, 1, 5, {}});
+  EXPECT_EQ(serialize_event_log(art), kEveryEventText);
+  std::string error;
+  const auto parsed = parse_event_log(kEveryEventText, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->algo, art.algo);
+  EXPECT_EQ(parsed->graph_kind, art.graph_kind);
+  EXPECT_EQ(parsed->n, art.n);
+  EXPECT_EQ(parsed->ids, art.ids);
+  EXPECT_EQ(parsed->wrapped, art.wrapped);
+  EXPECT_EQ(parsed->max_read_attempts, art.max_read_attempts);
+  ASSERT_EQ(parsed->faults.size(), 2u);
+  EXPECT_EQ(parsed->faults[0].mask, 0xdeadbeefu);
+  EXPECT_EQ(parsed->faults[1].after_publishes, 1u);
+  EXPECT_EQ(parsed->log, art.log);
+  EXPECT_EQ(parsed->seed, art.seed);
+  EXPECT_EQ(parsed->verdict, art.verdict);
+}
+
 TEST(EventLogIo, RoundTripsThroughDisk) {
   const EventLogArtifact art = sample_artifact();
   const std::string path =
@@ -111,6 +161,11 @@ TEST(EventLogIo, RejectsMalformedInput) {
           "fault 9 stall 0\n",
           "fault node out of range");
   rejects(good + "mystery 1\n", "unknown directive");
+  // Graphs the generators cannot build.
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 2\nids 1 2\n",
+          "cycle of 2 nodes");
+  rejects("ftcc-eventlog v1\nalgo five\ngraph path 1\nids 1\n",
+          "path of 1 node");
   // The reference text itself parses (guards the fixtures above).
   std::string error;
   EXPECT_TRUE(parse_event_log(good, &error).has_value()) << error;

@@ -12,7 +12,6 @@
 #include "core/algo4_general_graph.hpp"
 #include "core/algo5_fast_six_coloring.hpp"
 #include "modelcheck/explorer.hpp"
-#include "runtime/trace.hpp"
 #include "sched/schedulers.hpp"
 #include "util/bits.hpp"
 #include "util/rng.hpp"
@@ -146,21 +145,21 @@ TEST(Integration, RegisterWidthStaysLogarithmic) {
   }
 }
 
-TEST(Integration, TraceOfOneAlgorithmReplaysIntoAnother) {
-  // Schedules are algorithm-agnostic: a schedule traced from Algorithm 2
+TEST(Integration, RecordingOfOneAlgorithmReplaysIntoAnother) {
+  // Schedules are algorithm-agnostic: a schedule recorded from Algorithm 2
   // drives Algorithm 1 to a proper coloring too (termination times differ,
   // so the replay is padded by the fallthrough full-activation steps).
   const NodeId n = 10;
   const Graph g = make_cycle(n);
   const auto ids = random_ids(n, 77);
-  Trace trace;
   Executor<FiveColoringLinear> a2(FiveColoringLinear{}, g, ids);
-  a2.attach_trace(&trace);
   RandomSingleScheduler sched(13);
-  ASSERT_TRUE(a2.run(sched, 100000).completed);
+  RecordingScheduler recorder(sched);
+  const auto recorded = a2.run(recorder, 100000);
+  ASSERT_TRUE(recorded.completed);
 
   Executor<SixColoring> a1(SixColoring{}, g, ids);
-  ReplayScheduler replay(trace.to_schedule());
+  ReplayScheduler replay(recorder.take(recorded.steps));
   const auto result = a1.run(replay, 100000);
   ASSERT_TRUE(result.completed);
   EXPECT_TRUE(

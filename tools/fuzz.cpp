@@ -117,9 +117,8 @@ int main(int argc, char** argv) {
       std::cerr << "cannot load artifact: " << error << "\n";
       return 2;
     }
-    if (!ftcc::known_algorithm(artifact->algo)) {
-      std::cerr << "artifact names unknown algorithm '" << artifact->algo
-                << "'\n";
+    if (const auto reason = ftcc::unrunnable(*artifact)) {
+      std::cerr << "artifact " << *reason << "\n";
       return 2;
     }
     const std::string violation = ftcc::replay_violation(*artifact, inject);

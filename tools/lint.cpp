@@ -21,26 +21,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "lint/analyzer.hpp"
 #include "lint/sarif.hpp"
 #include "runtime/worker_pool.hpp"
 #include "util/artifacts.hpp"
 #include "util/cli.hpp"
+#include "util/text_io.hpp"
 
 namespace fs = std::filesystem;
 
 namespace {
-
-bool read_file(const fs::path& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
 
 bool write_file(const fs::path& path, const std::string& content,
                 std::string& error) {
@@ -96,10 +87,9 @@ int main(int argc, char** argv) {
   std::vector<ftcc::lint::BaselineEntry> baseline;
   {
     const fs::path baseline_path = root / cli.get_string("baseline");
-    std::string content;
-    if (read_file(baseline_path, content)) {
+    if (const auto content = ftcc::read_file(baseline_path.string())) {
       std::string error;
-      if (!ftcc::lint::parse_baseline(content, baseline, &error)) {
+      if (!ftcc::lint::parse_baseline(*content, baseline, &error)) {
         std::cerr << baseline_path.string() << ": " << error << "\n";
         return 2;
       }
@@ -123,10 +113,12 @@ int main(int argc, char** argv) {
   std::vector<ftcc::lint::SourceFile> sources(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     sources[i].path = fs::relative(paths[i], root).generic_string();
-    if (!read_file(paths[i], sources[i].content)) {
+    auto content = ftcc::read_file(paths[i].string());
+    if (!content) {
       std::cerr << "cannot read " << paths[i].string() << "\n";
       return 2;
     }
+    sources[i].content = std::move(*content);
   }
 
   // Per-file analysis on the pool, one indexed slot per file; the merge

@@ -39,9 +39,8 @@ int main(int argc, char** argv) {
     std::cerr << "cannot load event log: " << error << "\n";
     return 2;
   }
-  if (!ftcc::known_algorithm(artifact->algo)) {
-    std::cerr << "artifact names unknown algorithm '" << artifact->algo
-              << "'\n";
+  if (const auto reason = ftcc::unrunnable(*artifact)) {
+    std::cerr << "artifact " << *reason << "\n";
     return 2;
   }
 

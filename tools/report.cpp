@@ -17,9 +17,8 @@
 // snapshots, bench JSON, Chrome trace); format is sniffed per file.
 // Exit status: 0 = ok, 2 = usage error, unreadable file, or failed
 // validation.
-#include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,26 +26,18 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "util/cli.hpp"
+#include "util/text_io.hpp"
 
 namespace {
 
-bool slurp(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
-
 bool load_metrics(const std::string& path, ftcc::obs::MetricsFile& out) {
-  std::string text;
-  if (!slurp(path, text)) {
+  const std::optional<std::string> text = ftcc::read_file(path);
+  if (!text) {
     std::cerr << "cannot read " << path << "\n";
     return false;
   }
   std::string error;
-  if (!ftcc::obs::parse_metrics_jsonl(text, out, &error)) {
+  if (!ftcc::obs::parse_metrics_jsonl(*text, out, &error)) {
     std::cerr << path << ": " << error << "\n";
     return false;
   }
@@ -135,14 +126,14 @@ int main(int argc, char** argv) {
   if (cli.get_bool("check")) {
     bool all_ok = true;
     for (const std::string& path : paths) {
-      std::string text;
-      if (!slurp(path, text)) {
+      const std::optional<std::string> text = ftcc::read_file(path);
+      if (!text) {
         std::cout << "FAIL " << path << ": cannot read\n";
         all_ok = false;
         continue;
       }
       std::string error, kind;
-      if (ftcc::obs::check_payload(text, &error, &kind)) {
+      if (ftcc::obs::check_payload(*text, &error, &kind)) {
         std::cout << "ok   " << path << " (" << kind << ")\n";
       } else {
         std::cout << "FAIL " << path << ": " << error << "\n";
