@@ -25,10 +25,10 @@
 #include <queue>
 #include <vector>
 
-#include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fault_plan.hpp"
 #include "sched/schedulers.hpp"
 
 namespace ftcc {

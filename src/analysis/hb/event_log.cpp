@@ -36,34 +36,34 @@ bool parse_event(const std::string& directive, std::istringstream& ls,
   const auto fail = [error](const std::string& message) {
     return witness_error(error, message);
   };
-  const auto next_u64 = [&](std::uint64_t& out) {
+  // The next token as a number of out's type (a NodeId peer is range
+  // checked before it narrows).
+  const auto next = [&](auto& out) {
     std::string token;
-    return static_cast<bool>(ls >> token) && parse_u64(token, out);
+    return static_cast<bool>(ls >> token) && parse_uint(token, out);
   };
   e.peer = node;
-  if (!next_u64(e.round)) return fail(directive + ": bad round");
+  if (!next(e.round)) return fail(directive + ": bad round");
   if (directive == "pub" || directive == "adv") {
     e.kind = directive == "pub" ? HbEventKind::publish : HbEventKind::adversary;
-    if (!next_u64(e.version)) return fail(directive + ": bad version");
+    if (!next(e.version)) return fail(directive + ": bad version");
     std::uint64_t w = 0;
-    while (next_u64(w)) e.words.push_back(w);
+    while (next(w)) e.words.push_back(w);
   } else if (directive == "stall" || directive == "rev" ||
              directive == "fin") {
     e.kind = directive == "stall"  ? HbEventKind::stall
              : directive == "rev" ? HbEventKind::revive
                                   : HbEventKind::finish;
-    if (!next_u64(e.version)) return fail(directive + ": bad value");
+    if (!next(e.version)) return fail(directive + ": bad value");
   } else if (directive == "read" || directive == "rdto") {
-    std::uint64_t peer = 0;
-    if (!next_u64(peer)) return fail(directive + ": bad peer");
-    e.peer = static_cast<NodeId>(peer);
+    if (!next(e.peer)) return fail(directive + ": bad peer");
     if (directive == "rdto") {
       e.kind = HbEventKind::read_timeout;
     } else {
       e.kind = HbEventKind::read;
-      if (!next_u64(e.version)) return fail("read: bad version");
+      if (!next(e.version)) return fail("read: bad version");
       std::uint64_t w = 0;
-      while (next_u64(w)) e.words.push_back(w);
+      while (next(w)) e.words.push_back(w);
     }
   } else {
     return fail("unknown event '" + directive + "'");
@@ -80,6 +80,7 @@ bool parse_into(const std::string& text, EventLogArtifact& artifact,
   std::string line;
   if (!std::getline(in, line) || line != "ftcc-eventlog v1")
     return fail("missing 'ftcc-eventlog v1' header");
+  ShapeLinesSeen seen;
   // The node whose declared events are still to come, and how many.
   NodeId open_node = 0;
   std::uint64_t pending_events = 0;
@@ -95,7 +96,7 @@ bool parse_into(const std::string& text, EventLogArtifact& artifact,
       --pending_events;
       continue;
     }
-    switch (parse_shape_line(directive, ls, artifact, error)) {
+    switch (parse_shape_line(directive, ls, artifact, seen, error)) {
       case ShapeLine::error: return false;
       case ShapeLine::parsed:
         if (directive == "graph") artifact.log.reset(artifact.n);
@@ -111,9 +112,7 @@ bool parse_into(const std::string& text, EventLogArtifact& artifact,
       if (!(ls >> node >> kind))
         return fail("fault: expected node and kind");
       ThreadedFault fault;
-      std::uint64_t v = 0;
-      if (!parse_u64(node, v)) return fail("fault: bad node");
-      fault.node = static_cast<NodeId>(v);
+      if (!parse_uint(node, fault.node)) return fail("fault: bad node");
       std::string after, mask;
       if (kind == "corrupt") {
         fault.kind = ThreadedFault::Kind::corrupt_words;
@@ -133,12 +132,10 @@ bool parse_into(const std::string& text, EventLogArtifact& artifact,
       std::string node, count;
       if (!(ls >> node >> count))
         return fail("node: expected id and event count");
-      std::uint64_t v = 0;
-      if (!parse_u64(node, v) || v >= artifact.n)
+      if (!parse_uint(node, open_node) || open_node >= artifact.n)
         return fail("node: id out of range");
       if (!parse_u64(count, pending_events))
         return fail("node: bad event count");
-      open_node = static_cast<NodeId>(v);
     } else if (directive == "seed") {
       std::string token;
       if (!(ls >> token) || !parse_u64(token, artifact.seed))

@@ -1,7 +1,7 @@
 // Recovering<A> — a self-healing wrapper turning any of the paper's cycle
 // algorithms into one that survives register corruption and crash-recovery
-// faults (the adversaries of src/faults/) without ever emitting an improper
-// color.
+// faults (the adversaries of runtime/fault_plan.hpp) without ever emitting
+// an improper color.
 //
 // The wrapper defends along two lines:
 //
@@ -198,8 +198,9 @@ class Recovering {
   A inner_{};
 };
 
-/// Trait for dispatch: is T a Recovering<...> instantiation?  The fuzz
-/// campaign uses it to pick fault-aware monitors over the standard ones.
+/// Is T a Recovering<...> instantiation?  The invariant monitors
+/// (analysis/invariants.hpp) use it to see through the wrapper: they read
+/// authentic registers and the inner state.
 template <typename T>
 inline constexpr bool is_recovering_v = false;
 template <typename A>

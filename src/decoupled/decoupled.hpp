@@ -27,7 +27,7 @@
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "localmodel/sync_local.hpp"
-#include "runtime/crash.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/assert.hpp"
 

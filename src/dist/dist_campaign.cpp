@@ -224,16 +224,14 @@ DistCampaignReport run_dist_campaign(const DistCampaignOptions& options) {
         options.metrics != nullptr || trace != nullptr;
     ExecutionResult<std::uint64_t> result;
     std::string runtime_error;
-    const CertifyReport verdict = with_campaign_algorithm(
-        cfg, [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
-          DistExecutor<decltype(algo)> ex(algo, graph, cfg.ids, cfg.plan,
-                                          dopts);
-          ex.attach_hb_log(&log);
-          if (want_telemetry) ex.attach_telemetry(&telemetry);
-          result = ex.run(*cfg.sched, options.max_steps);
-          runtime_error = ex.error();
-          return certify_log(algo, graph, cfg.ids, log);
-        });
+    const CertifyReport verdict = with_campaign_algorithm(cfg, [&](auto algo) {
+      DistExecutor<decltype(algo)> ex(algo, graph, cfg.ids, cfg.plan, dopts);
+      ex.attach_hb_log(&log);
+      if (want_telemetry) ex.attach_telemetry(&telemetry);
+      result = ex.run(*cfg.sched, options.max_steps);
+      runtime_error = ex.error();
+      return certify_log(algo, graph, cfg.ids, log);
+    });
 
     PartialColoring colors(cfg.n);
     for (NodeId v = 0; v < cfg.n; ++v)

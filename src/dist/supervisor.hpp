@@ -74,10 +74,10 @@
 #include "dist/protocol.hpp"
 #include "dist/shm_region.hpp"
 #include "dist/wire.hpp"
-#include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "obs/shm_metrics.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/hb_log.hpp"
 #include "runtime/result.hpp"
 #include "runtime/scheduler.hpp"

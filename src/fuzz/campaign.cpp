@@ -7,8 +7,6 @@
 
 #include "analysis/harness.hpp"
 #include "analysis/invariants.hpp"
-#include "core/recovering.hpp"
-#include "faults/invariants.hpp"
 #include "fuzz/dispatch.hpp"
 #include "graph/chains.hpp"
 #include "sched/adversary_search.hpp"
@@ -31,22 +29,12 @@ struct RecordedRun {
 };
 
 template <Algorithm A>
-void install_monitors(Executor<A>& ex, std::uint64_t palette_bound,
-                      bool ordered, InjectedFault inject) {
-  if constexpr (is_recovering_v<A>) {
-    // Wrapped registers carry checksums the standard monitors can't see
-    // through; use the fault-aware variants (analysis reuses output
-    // properness, which only reads outputs).
-    ex.add_invariant(recovering_identifier_invariant<A>());
-    ex.add_invariant(output_properness_invariant<A>());
-    ex.add_invariant(recovering_candidates_bounded_invariant<A>(palette_bound));
-    if (ordered) ex.add_invariant(recovering_candidates_ordered_invariant<A>());
-  } else {
-    ex.add_invariant(proper_identifier_invariant<A>());
-    ex.add_invariant(output_properness_invariant<A>());
-    ex.add_invariant(candidates_bounded_invariant<A>(palette_bound));
-    if (ordered) ex.add_invariant(candidates_ordered_invariant<A>());
-  }
+void install_monitors(Executor<A>& ex, InjectedFault inject) {
+  constexpr CandidateRule rule = kCandidateRule<A>;
+  ex.add_invariant(proper_identifier_invariant<A>());
+  ex.add_invariant(output_properness_invariant<A>());
+  ex.add_invariant(candidates_bounded_invariant<A>(rule.bound));
+  if (rule.ordered) ex.add_invariant(candidates_ordered_invariant<A>());
   if (inject == InjectedFault::no_termination) {
     ex.add_invariant([](const Executor<A>& e) -> std::optional<std::string> {
       for (NodeId v = 0; v < e.graph().node_count(); ++v)
@@ -78,10 +66,9 @@ Executor<A>& pooled_executor(A algo, const Graph& graph,
 template <Algorithm A>
 RecordedRun run_recorded(A algo, const Graph& graph, const IdAssignment& ids,
                          const FaultPlan& faults, Scheduler& sched,
-                         std::uint64_t max_steps, std::uint64_t palette_bound,
-                         bool ordered, InjectedFault inject) {
+                         std::uint64_t max_steps, InjectedFault inject) {
   Executor<A>& ex = pooled_executor(std::move(algo), graph, ids, faults);
-  install_monitors(ex, palette_bound, ordered, inject);
+  install_monitors(ex, inject);
   RecordingScheduler recorder(sched);
   auto result = ex.run(recorder, max_steps);
   RecordedRun run;
@@ -277,18 +264,15 @@ std::string replay_violation(const ScheduleArtifact& artifact,
   FTCC_EXPECTS(!unrunnable(artifact));
   const Graph graph = artifact.graph();
   const FaultPlan faults = artifact.fault_plan();
-  return with_campaign_algorithm(
-      artifact,
-      [&](auto algo, std::uint64_t bound, bool ordered) -> std::string {
-        auto& ex = pooled_executor(std::move(algo), graph, artifact.ids,
-                                   faults);
-        install_monitors(ex, bound, ordered, inject);
-        ReplayScheduler sched(artifact.sigmas);
-        // Exactly the recorded steps: the artifact IS the schedule, so a
-        // shrunk witness must reproduce the violation within its own prefix.
-        (void)ex.run(sched, artifact.sigmas.size());
-        return ex.violation().value_or("");
-      });
+  return with_campaign_algorithm(artifact, [&](auto algo) -> std::string {
+    auto& ex = pooled_executor(std::move(algo), graph, artifact.ids, faults);
+    install_monitors(ex, inject);
+    ReplayScheduler sched(artifact.sigmas);
+    // Exactly the recorded steps: the artifact IS the schedule, so a
+    // shrunk witness must reproduce the violation within its own prefix.
+    (void)ex.run(sched, artifact.sigmas.size());
+    return ex.violation().value_or("");
+  });
 }
 
 CampaignReport run_campaign(const CampaignOptions& options) {
@@ -332,12 +316,10 @@ CampaignReport run_campaign(const CampaignOptions& options) {
     const Graph graph = witness.graph();
     const FaultPlan faults = witness.fault_plan();
 
-    RecordedRun run = with_campaign_algorithm(
-        witness, [&](auto algo, std::uint64_t bound, bool ordered) {
-          return run_recorded(std::move(algo), graph, witness.ids, faults,
-                              *cfg.sched, budget, bound, ordered,
-                              options.inject);
-        });
+    RecordedRun run = with_campaign_algorithm(witness, [&](auto algo) {
+      return run_recorded(std::move(algo), graph, witness.ids, faults,
+                          *cfg.sched, budget, options.inject);
+    });
 
     if (m.trial_steps) m.trial_steps->observe(run.steps);
     os << "trial " << trial << " algo=" << witness.algo

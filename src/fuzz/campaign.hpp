@@ -38,8 +38,8 @@ enum class InjectedFault {
   no_termination,
 };
 
-/// Which real fault classes (src/faults/) each trial draws, on top of the
-/// crash-stop pattern every trial already has.
+/// Which real fault classes (runtime/fault_plan.hpp) each trial draws, on
+/// top of the crash-stop pattern every trial already has.
 enum class FaultMode {
   none,     ///< crash-stop only (the original campaign)
   corrupt,  ///< transient register corruption (bit flips, word overwrites)

@@ -52,10 +52,9 @@ std::string generate_certify_trial(const std::vector<std::string>& algos,
 CertifyReport certify_event_log(const EventLogArtifact& artifact) {
   FTCC_EXPECTS(!unrunnable(artifact));
   const Graph graph = artifact.graph();
-  return with_campaign_algorithm(
-      artifact, [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
-        return certify_log(algo, graph, artifact.ids, artifact.log);
-      });
+  return with_campaign_algorithm(artifact, [&](auto algo) {
+    return certify_log(algo, graph, artifact.ids, artifact.log);
+  });
 }
 
 CertifyCampaignReport run_certify_campaign(
@@ -109,17 +108,16 @@ CertifyCampaignReport run_certify_campaign(
     const ThreadedOptions topts = cfg.threaded_options();
 
     HbLog& log = cfg.log;
-    const CertifyReport verdict = with_campaign_algorithm(
-        cfg, [&](auto algo, std::uint64_t /*bound*/, bool /*ordered*/) {
-          ThreadedExecutor<decltype(algo)> ex(algo, graph, cfg.ids, topts);
-          ex.attach_hb_log(&log);
-          if (options.metrics != nullptr) ex.attach_metrics(&threaded_metrics);
-          {
-            obs::Span run_span(trace, "threaded.run", "certify");
-            (void)ex.run(options.max_rounds);
-          }
-          return certify_log(algo, graph, cfg.ids, log, trace);
-        });
+    const CertifyReport verdict = with_campaign_algorithm(cfg, [&](auto algo) {
+      ThreadedExecutor<decltype(algo)> ex(algo, graph, cfg.ids, topts);
+      ex.attach_hb_log(&log);
+      if (options.metrics != nullptr) ex.attach_metrics(&threaded_metrics);
+      {
+        obs::Span run_span(trace, "threaded.run", "certify");
+        (void)ex.run(options.max_rounds);
+      }
+      return certify_log(algo, graph, cfg.ids, log, trace);
+    });
 
     if (m.events) {
       m.events->observe(verdict.events);

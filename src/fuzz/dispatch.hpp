@@ -5,10 +5,11 @@
 // algorithm, graph, identifiers) every campaign trial starts from.
 // Shared by the schedule-fuzzing campaign (fuzz/campaign.cpp), the
 // threaded certify campaign (fuzz/certify_campaign.cpp), the
-// multi-process campaign (dist/dist_campaign.cpp), and tools/race.
+// multi-process campaign (dist/dist_campaign.cpp), tools/race and
+// tools/mc.  What the monitors check per algorithm (its candidate rule)
+// lives beside them, in analysis/invariants.hpp.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,26 +27,26 @@
 
 namespace ftcc {
 
+/// Dispatch on an algorithm name (one of campaign_algorithms()); f
+/// receives the algorithm instance.
+template <typename F>
+auto with_algorithm(const std::string& name, F&& f) {
+  if (name == "six") return f(SixColoring{});
+  if (name == "five") return f(FiveColoringLinear{});
+  if (name == "fast5") return f(FiveColoringFast{});
+  if (name == "delta2") return f(DeltaSquaredColoring{});
+  FTCC_EXPECTS(name == "fast6" && "unknown campaign algorithm");
+  return f(SixColoringFast{});
+}
+
 /// Dispatch on a trial shape's algorithm name; f receives the algorithm
-/// instance (wrapped in Recovering<> when shape.wrapped), its mid-run
-/// palette component bound (each candidate's mex is over at most `bound`
-/// values), and whether it maintains a_p <= b_p.
+/// instance, wrapped in Recovering<> when shape.wrapped.
 template <typename F>
 auto with_campaign_algorithm(const TrialShape& shape, F&& f) {
-  const auto dispatch = [&](auto algo, std::uint64_t bound, bool ordered) {
-    if (shape.wrapped) return f(Recovering<decltype(algo)>{}, bound, ordered);
-    return f(std::move(algo), bound, ordered);
-  };
-  const std::string& name = shape.algo;
-  if (name == "six") return dispatch(SixColoring{}, std::uint64_t{2}, false);
-  if (name == "five")
-    return dispatch(FiveColoringLinear{}, std::uint64_t{4}, true);
-  if (name == "fast5")
-    return dispatch(FiveColoringFast{}, std::uint64_t{4}, true);
-  if (name == "delta2")
-    return dispatch(DeltaSquaredColoring{}, std::uint64_t{2}, false);
-  FTCC_EXPECTS(name == "fast6" && "unknown campaign algorithm");
-  return dispatch(SixColoringFast{}, std::uint64_t{2}, false);
+  return with_algorithm(shape.algo, [&](auto algo) {
+    if (shape.wrapped) return f(Recovering<decltype(algo)>{});
+    return f(std::move(algo));
+  });
 }
 
 /// Draw a trial's shape (all of it but `wrapped`, which is the caller's),

@@ -63,6 +63,7 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
   std::string line;
   if (!std::getline(in, line) || line != "ftcc-schedule v1")
     return fail("missing 'ftcc-schedule v1' header");
+  ShapeLinesSeen seen;
   bool saw_steps = false;
   std::uint64_t declared_steps = 0;
   while (std::getline(in, line)) {
@@ -70,7 +71,7 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
     std::istringstream ls(line);
     std::string directive;
     ls >> directive;
-    switch (parse_shape_line(directive, ls, artifact, error)) {
+    switch (parse_shape_line(directive, ls, artifact, seen, error)) {
       case ShapeLine::error: return false;
       case ShapeLine::parsed: continue;
       case ShapeLine::other: break;
@@ -79,13 +80,14 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
       std::string kind, node, value;
       if (!(ls >> kind >> node >> value))
         return fail("crash: expected kind, node, value");
-      std::uint64_t v = 0, x = 0;
-      if (!parse_u64(node, v) || !parse_u64(value, x))
+      NodeId v = 0;
+      std::uint64_t x = 0;
+      if (!parse_uint(node, v) || !parse_u64(value, x))
         return fail("crash: bad number");
       if (kind == "at_step") {
-        artifact.crash_at_step.emplace_back(static_cast<NodeId>(v), x);
+        artifact.crash_at_step.emplace_back(v, x);
       } else if (kind == "after_acts") {
-        artifact.crash_after_acts.emplace_back(static_cast<NodeId>(v), x);
+        artifact.crash_after_acts.emplace_back(v, x);
       } else {
         return fail("crash: unknown kind '" + kind + "'");
       }
@@ -93,29 +95,29 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
       std::string node, at_step, down_steps, reg;
       if (!(ls >> node >> at_step >> down_steps >> reg))
         return fail("recover: expected node, at_step, down_steps, reg");
-      std::uint64_t v = 0;
+      NodeId v = 0;
       RecoveryFault fault;
-      if (!parse_u64(node, v) || !parse_u64(at_step, fault.at_step) ||
+      if (!parse_uint(node, v) || !parse_u64(at_step, fault.at_step) ||
           !parse_u64(down_steps, fault.down_steps))
         return fail("recover: bad number");
       const auto parsed = parse_recovered_register(reg);
       if (!parsed)
         return fail("recover: unknown register policy '" + reg + "'");
       fault.reg = *parsed;
-      artifact.recoveries.push_back({static_cast<NodeId>(v), fault});
+      artifact.recoveries.push_back({v, fault});
     } else if (directive == "corrupt") {
       std::string node, at_step, kind, word, value;
       if (!(ls >> node >> at_step >> kind >> word >> value))
         return fail("corrupt: expected node, at_step, kind, word, value");
-      std::uint64_t v = 0;
+      NodeId v = 0;
       CorruptionFault fault;
-      if (!parse_u64(node, v) || !parse_u64(at_step, fault.at_step) ||
+      if (!parse_uint(node, v) || !parse_u64(at_step, fault.at_step) ||
           !parse_u64(word, fault.word) || !parse_u64(value, fault.value))
         return fail("corrupt: bad number");
       const auto parsed = parse_corruption_kind(kind);
       if (!parsed) return fail("corrupt: unknown kind '" + kind + "'");
       fault.kind = *parsed;
-      artifact.corruptions.push_back({static_cast<NodeId>(v), fault});
+      artifact.corruptions.push_back({v, fault});
     } else if (directive == "steps") {
       std::string count;
       if (!(ls >> count) || !parse_u64(count, declared_steps))
@@ -126,10 +128,10 @@ bool parse_into(const std::string& text, ScheduleArtifact& artifact,
       std::string token;
       while (ls >> token) {
         if (token == "-") break;  // explicit empty activation set
-        std::uint64_t v = 0;
-        if (!parse_u64(token, v))
+        NodeId v = 0;
+        if (!parse_uint(token, v))
           return fail("sigma: bad node '" + token + "'");
-        sigma.push_back(static_cast<NodeId>(v));
+        sigma.push_back(v);
       }
       artifact.sigmas.push_back(std::move(sigma));
     } else if (directive == "seed") {

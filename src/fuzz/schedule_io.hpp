@@ -44,10 +44,9 @@
 #include <utility>
 #include <vector>
 
-#include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
 #include "graph/trial_shape.hpp"
-#include "runtime/crash.hpp"
+#include "runtime/fault_plan.hpp"
 #include "sched/schedulers.hpp"
 
 namespace ftcc {

@@ -1,7 +1,5 @@
 #include "graph/trial_shape.hpp"
 
-#include <limits>
-
 namespace ftcc {
 
 Graph TrialShape::graph() const {
@@ -26,11 +24,18 @@ bool witness_error(std::string* error, const std::string& message) {
 }
 
 ShapeLine parse_shape_line(const std::string& directive, std::istream& rest,
-                           TrialShape& shape, std::string* error) {
+                           TrialShape& shape, ShapeLinesSeen& seen,
+                           std::string* error) {
   const auto fail = [&](const std::string& message) {
     (void)witness_error(error, message);
     return ShapeLine::error;
   };
+  if (directive != "algo" && directive != "graph" && directive != "ids" &&
+      directive != "wrapped")
+    return ShapeLine::other;
+  // A second line of a kind would silently overwrite the first.
+  if (!seen.insert(directive).second)
+    return fail(directive + ": repeated line");
   if (directive == "algo") {
     if (!(rest >> shape.algo)) return fail("algo: missing name");
   } else if (directive == "graph") {
@@ -38,31 +43,27 @@ ShapeLine parse_shape_line(const std::string& directive, std::istream& rest,
     if (!(rest >> kind >> count)) return fail("graph: expected kind and n");
     if (kind != "cycle" && kind != "path")
       return fail("graph: unknown kind '" + kind + "'");
-    std::uint64_t n = 0;
-    if (!parse_u64(count, n) || n > std::numeric_limits<NodeId>::max())
-      return fail("graph: bad node count");
+    NodeId n = 0;
+    if (!parse_uint(count, n)) return fail("graph: bad node count");
     // The generators' own preconditions (make_cycle, make_path).
-    const std::uint64_t least = kind == "cycle" ? 3 : 2;
+    const NodeId least = kind == "cycle" ? 3 : 2;
     if (n < least)
       return fail("graph: a " + kind + " needs n >= " + std::to_string(least));
     shape.graph_kind = kind;
-    shape.n = static_cast<NodeId>(n);
+    shape.n = n;
   } else if (directive == "ids") {
     std::string token;
-    shape.ids.clear();
     while (rest >> token) {
       std::uint64_t id = 0;
       if (!parse_u64(token, id)) return fail("ids: bad value '" + token + "'");
       shape.ids.push_back(id);
     }
-  } else if (directive == "wrapped") {
+  } else {  // wrapped
     std::string token;
     std::uint64_t flag = 0;
     if (!(rest >> token) || !parse_u64(token, flag) || flag > 1)
       return fail("wrapped: expected 0 or 1");
     shape.wrapped = flag == 1;
-  } else {
-    return ShapeLine::other;
   }
   return ShapeLine::parsed;
 }

@@ -4,16 +4,17 @@
 // witnesses derive from TrialShape and read and write these lines here:
 // `algo six`, `graph cycle 8`, `ids 100 101 ...`, and `wrapped 1` for a
 // run under Recovering<>, which each format writes at its own place.
-// The parse rejects a graph the generators cannot build (a cycle of
-// n < 3, a path of n < 2) and a node count past NodeId; whether an
-// algorithm runs on the shape is the campaign's check (unrunnable,
-// fuzz/campaign.hpp).
+// The parse rejects a repeated shape line, a graph the generators cannot
+// build (a cycle of n < 3, a path of n < 2) and a node count past NodeId;
+// whether an algorithm runs on the shape is the campaign's check
+// (unrunnable, fuzz/campaign.hpp).
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -53,10 +54,15 @@ enum class ShapeLine : std::uint8_t {
   error,   ///< malformed; `error` says why
 };
 
+/// The shape directives one witness parse has read; each may appear once.
+using ShapeLinesSeen = std::set<std::string>;
+
 /// Read one line whose directive word `directive` was already taken off
-/// `rest` into `shape`, if it is one of the shape directives.
+/// `rest` into `shape`, if it is one of the shape directives.  A
+/// directive already in `seen` is an error.
 [[nodiscard]] ShapeLine parse_shape_line(const std::string& directive,
                                          std::istream& rest, TrialShape& shape,
+                                         ShapeLinesSeen& seen,
                                          std::string* error);
 
 /// The checks every witness ends with: the `algo` and `graph` lines were

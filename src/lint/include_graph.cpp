@@ -140,32 +140,26 @@ const std::map<std::string, std::vector<std::string>>& layering_rules() {
       {"util", {}},
       {"obs", {"util"}},
       {"graph", {"util"}},
-      // runtime consumes fault-plan *data* (executor.hpp applies fault
-      // events at activation boundaries); see the header comment for why
-      // this pair is mutual yet file-level acyclic.
-      {"runtime", {"graph", "obs", "util", "faults"}},
-      {"faults", {"runtime", "graph", "util"}},
+      {"runtime", {"graph", "obs", "util"}},
       {"sched", {"runtime", "graph", "util"}},
       {"core", {"runtime", "graph", "util"}},
-      {"analysis", {"core", "sched", "faults", "runtime", "graph", "obs",
-                    "util"}},
+      {"analysis", {"core", "sched", "runtime", "graph", "obs", "util"}},
       {"localmodel", {"graph", "util"}},
       {"decoupled", {"localmodel", "runtime", "graph", "util"}},
       {"shm", {"runtime", "graph", "util"}},
       {"mis", {"runtime", "graph", "util"}},
       {"selfstab", {"graph", "util"}},
       {"modelcheck", {"runtime", "graph", "obs", "util"}},
-      {"fuzz", {"analysis", "core", "sched", "faults", "runtime", "graph",
-                "obs", "util"}},
-      {"dist", {"fuzz", "analysis", "sched", "faults", "runtime", "graph",
-                "obs", "util"}},
+      {"fuzz", {"analysis", "core", "sched", "runtime", "graph", "obs",
+                "util"}},
+      {"dist", {"fuzz", "analysis", "sched", "runtime", "graph", "obs",
+                "util"}},
       // The batch engine consumes the algorithms (core) and replays the
-      // sequential executor's contract (runtime, faults).  Its own
-      // synchronous schedule is implicit in the frontier bitmap; only the
-      // differential campaign needs sched, for the sequential side's
+      // sequential executor's contract (runtime).  Its own synchronous
+      // schedule is implicit in the frontier bitmap; only the differential
+      // campaign needs sched, for the sequential side's
       // SynchronousScheduler.
-      {"scale", {"core", "faults", "runtime", "graph", "obs", "sched",
-                 "util"}},
+      {"scale", {"core", "runtime", "graph", "obs", "sched", "util"}},
       {"lint", {"util"}},
   };
   return rules;

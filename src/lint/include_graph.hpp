@@ -21,13 +21,6 @@
 //       the kLayering table below.  An include edge whose (from, to)
 //       subsystem pair is not allowed fails the lint.  tools/ may use
 //       everything; tests/bench/examples are not walked by tools/lint.
-//
-// The runtime ↔ faults pair is the one deliberate mutual edge: faults/
-// declares the fault-plan *data* the executor consumes, and the fault
-// invariants reach back up to the executor's introspection interface.
-// Both directions are declared, and the file-level cycle check proves
-// the pair is acyclic where it matters (executor.hpp → fault_plan.hpp →
-// crash.hpp, no edge back).
 #pragma once
 
 #include <cstddef>

@@ -46,12 +46,11 @@
 #include <string>
 #include <vector>
 
-#include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
 #include "obs/runtime_metrics.hpp"
 #include "graph/ids.hpp"
 #include "runtime/algorithm.hpp"
-#include "runtime/crash.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/register_file.hpp"
 #include "runtime/result.hpp"
 #include "runtime/scheduler.hpp"

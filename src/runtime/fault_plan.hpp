@@ -1,7 +1,13 @@
-// Fault plans beyond crash-stop.  The paper's adversary can only remove a
-// node from all future activation sets (CrashPlan); the stronger adversaries
-// studied by the follow-up line of work (Balliu et al. 2024) and by the
-// self-stabilizing family corrupt *state*:
+// Fault plans: what the adversary does to an execution, applied by the
+// executor at activation boundaries.
+//
+// The paper's adversary can only crash a node (CrashPlan).  In the state
+// model a crash is indistinguishable from never being scheduled again, so
+// a crash plan simply removes a node from all future activation sets —
+// either from a fixed time step on, or after a fixed number of
+// activations.  The stronger adversaries studied by the follow-up line of
+// work (Balliu et al. 2024) and by the self-stabilizing family corrupt
+// *state*:
 //
 //   crash-recovery — a node stops being scheduled at a step, misses a fixed
 //     number of steps, and then resumes with its private algorithm state
@@ -17,10 +23,10 @@
 //
 // A FaultPlan composes any number of crash-stop entries (exactly
 // CrashPlan's semantics), at most one crash-recovery entry per node, and a
-// step-ordered list of corruption events.  The executor applies them at
-// activation boundaries; registers touched by a fault are marked *tainted*
-// until their owner republishes, so that invariant monitors can distinguish
-// "the adversary wrote this" from "the algorithm emitted this".
+// step-ordered list of corruption events.  Registers touched by a fault
+// are marked *tainted* until their owner republishes, so that invariant
+// monitors can distinguish "the adversary wrote this" from "the algorithm
+// emitted this".
 #pragma once
 
 #include <algorithm>
@@ -30,9 +36,51 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "runtime/crash.hpp"
 
 namespace ftcc {
+
+class CrashPlan {
+ public:
+  CrashPlan() = default;
+  explicit CrashPlan(NodeId n)
+      : at_step_(n, std::nullopt), after_activations_(n, std::nullopt) {}
+
+  /// Node v takes no step at time >= t.
+  CrashPlan& crash_at_step(NodeId v, std::uint64_t t) {
+    grow(v);
+    at_step_[v] = t;
+    return *this;
+  }
+
+  /// Node v performs exactly k activations, then crashes (k may be 0:
+  /// the node never wakes up).
+  CrashPlan& crash_after_activations(NodeId v, std::uint64_t k) {
+    grow(v);
+    after_activations_[v] = k;
+    return *this;
+  }
+
+  [[nodiscard]] bool crashes_at(NodeId v, std::uint64_t t,
+                                std::uint64_t activations_so_far) const {
+    if (v >= at_step_.size()) return false;
+    if (at_step_[v] && t >= *at_step_[v]) return true;
+    if (after_activations_[v] && activations_so_far >= *after_activations_[v])
+      return true;
+    return false;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return at_step_.empty(); }
+
+ private:
+  void grow(NodeId v) {
+    if (v >= at_step_.size()) {
+      at_step_.resize(v + 1);
+      after_activations_.resize(v + 1);
+    }
+  }
+  std::vector<std::optional<std::uint64_t>> at_step_;
+  std::vector<std::optional<std::uint64_t>> after_activations_;
+};
 
 /// What a crash-recovering node finds in its own register when it revives.
 enum class RecoveredRegister : std::uint8_t {

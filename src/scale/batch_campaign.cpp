@@ -7,9 +7,9 @@
 
 #include "core/algo4_general_graph.hpp"
 #include "core/algo5_fast_six_coloring.hpp"
-#include "faults/fault_plan.hpp"
 #include "graph/ids.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fault_plan.hpp"
 #include "scale/batch_executor.hpp"
 #include "scale/graph_gen.hpp"
 #include "sched/schedulers.hpp"

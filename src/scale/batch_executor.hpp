@@ -54,7 +54,7 @@
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "obs/runtime_metrics.hpp"
-#include "runtime/crash.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/result.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"

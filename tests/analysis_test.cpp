@@ -6,6 +6,7 @@
 #include "analysis/harness.hpp"
 #include "core/algo1_six_coloring.hpp"
 #include "core/algo2_five_coloring.hpp"
+#include "core/recovering.hpp"
 #include "sched/schedulers.hpp"
 
 namespace ftcc {
@@ -13,6 +14,7 @@ namespace {
 
 // Deliberately broken: publishes a constant identifier (violating the
 // proper-X invariant) and keeps a > b (violating the candidate order).
+// Register-codable, so it runs under Recovering<> too.
 class Broken {
  public:
   struct Register {
@@ -33,6 +35,10 @@ class Broken {
     }
   };
   using Output = std::uint64_t;
+  static constexpr std::size_t kRegisterWords = 3;
+  static Register decode_register(std::span<const std::uint64_t> words) {
+    return {words[0], words[1], words[2]};
+  }
 
   State init(NodeId, std::uint64_t, int) const { return {}; }
   Register publish(const State& s) const { return {s.x, s.a, s.b}; }
@@ -46,6 +52,20 @@ class Broken {
   static std::uint64_t color_code(const Output& o) { return o; }
 };
 static_assert(Algorithm<Broken>);
+using WrappedBroken = Recovering<Broken>;
+
+/// The violation `invariant` reports after the steps `sigmas` on C3 (ids
+/// 1 2 3) under `plan`, or "" if it stayed quiet.
+template <Algorithm A>
+std::string violation_after(typename Executor<A>::Invariant invariant,
+                            const std::vector<std::vector<NodeId>>& sigmas,
+                            FaultPlan plan = {}) {
+  const Graph g = make_cycle(3);
+  Executor<A> ex(A{}, g, {1, 2, 3}, std::move(plan));
+  ex.add_invariant(std::move(invariant));
+  for (const auto& sigma : sigmas) ex.step(sigma);
+  return ex.violation().value_or("");
+}
 
 TEST(Invariants, ProperIdentifierMonitorFires) {
   const Graph g = make_cycle(3);
@@ -125,6 +145,88 @@ TEST(Invariants, OutputPropernessMonitorFires) {
   ex.step(all);
   ASSERT_TRUE(ex.violation().has_value());
   EXPECT_NE(ex.violation()->find("same color"), std::string::npos);
+}
+
+// Every monitor's exact message, bare and under Recovering<>.  Wrapped,
+// step 1 is each activated node's veiled adoption round; Broken's
+// candidates sit in the wrapper's inner state from init on.
+TEST(Invariants, EveryMessageIsPinnedBareAndWrapped) {
+  EXPECT_EQ(violation_after<Broken>(proper_identifier_invariant<Broken>(),
+                                    {{0, 1}}),
+            "published identifiers collide on edge (0,1): X=7 at step 1");
+  EXPECT_EQ(
+      violation_after<Broken>(proper_identifier_invariant<Broken>(), {{0}}),
+      "private X of 1 equals published X of neighbour 0 (X=7) at step 1");
+  EXPECT_EQ(
+      violation_after<Broken>(proper_identifier_invariant<Broken>(), {{1}}),
+      "private X of 0 equals published X of neighbour 1 (X=7) at step 1");
+  EXPECT_EQ(
+      violation_after<Broken>(candidates_ordered_invariant<Broken>(), {{0}}),
+      "candidate order violated at node 0: a=5 > b=1 at step 1");
+  EXPECT_EQ(
+      violation_after<Broken>(candidates_bounded_invariant<Broken>(4), {{0}}),
+      "candidate out of palette at node 0: a=5 b=1 bound=4 at step 1");
+  EXPECT_EQ(violation_after<Broken>(output_properness_invariant<Broken>(),
+                                    {{0, 1, 2}}),
+            "terminated neighbours 0 and 1 output the same color at step 1");
+
+  EXPECT_EQ(violation_after<WrappedBroken>(
+                proper_identifier_invariant<WrappedBroken>(),
+                {{0, 1}, {0, 1}}),
+            "authentic published identifiers collide on edge (0,1): X=7 at "
+            "step 2");
+  EXPECT_EQ(violation_after<WrappedBroken>(
+                candidates_ordered_invariant<WrappedBroken>(),
+                {{0}}),
+            "candidate order violated at node 0: a=5 > b=1 at step 1");
+  EXPECT_EQ(violation_after<WrappedBroken>(
+                candidates_bounded_invariant<WrappedBroken>(4),
+                {{0}}),
+            "candidate out of palette at node 0: a=5 b=1 bound=4 at step 1");
+}
+
+// Under Recovering<> the identifier monitor reads authentic registers
+// only, and it has no private-vs-published form: a revived node's private
+// state is a placeholder until its adoption round.  Nodes 0 and 1 hold
+// X=7 throughout.
+TEST(Invariants, WrappedIdentifierMonitorSkipsNonAuthenticRegisters) {
+  const auto monitor = [] {
+    return proper_identifier_invariant<WrappedBroken>();
+  };
+  // Step 2: node 1 publishes beside node 0's veiled register, which is
+  // untainted and fails only its checksum; node 0's private X equals
+  // node 1's published X.
+  EXPECT_EQ(violation_after<WrappedBroken>(monitor(), {{0, 1}, {1}}), "");
+  // Step 3 corrupts node 1's authentic register (bit 0 of its a) as node
+  // 0 publishes beside it; at step 4 node 1 republishes and the collision
+  // shows.
+  FaultPlan plan(3);
+  plan.corrupt(1, {3, CorruptionFault::Kind::bit_flip, 1, 0});
+  EXPECT_EQ(violation_after<WrappedBroken>(monitor(), {{0, 1}, {1}, {0}},
+                                           plan),
+            "");
+  EXPECT_EQ(violation_after<WrappedBroken>(monitor(),
+                                           {{0, 1}, {1}, {0}, {1}}, plan),
+            "authentic published identifiers collide on edge (0,1): X=7 at "
+            "step 4");
+}
+
+// The candidate rule per algorithm type, and a wrapped algorithm keeps
+// its inner one.
+TEST(Invariants, CandidateRulesPerAlgorithm) {
+  static_assert(kCandidateRule<SixColoring>.bound == 2 &&
+                !kCandidateRule<SixColoring>.ordered);
+  static_assert(kCandidateRule<FiveColoringLinear>.bound == 4 &&
+                kCandidateRule<FiveColoringLinear>.ordered);
+  static_assert(kCandidateRule<FiveColoringFast>.bound == 4 &&
+                kCandidateRule<FiveColoringFast>.ordered);
+  static_assert(kCandidateRule<DeltaSquaredColoring>.bound == 2 &&
+                !kCandidateRule<DeltaSquaredColoring>.ordered);
+  static_assert(kCandidateRule<SixColoringFast>.bound == 2 &&
+                !kCandidateRule<SixColoringFast>.ordered);
+  static_assert(kCandidateRule<Recovering<FiveColoringFast>>.bound == 4 &&
+                kCandidateRule<Recovering<FiveColoringFast>>.ordered);
+  SUCCEED();
 }
 
 TEST(Invariants, CleanAlgorithmsPassAllMonitors) {

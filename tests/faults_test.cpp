@@ -2,7 +2,7 @@
 // crash-recovery and corruption faults at activation boundaries (taint
 // lifecycle, stale snapshots, revival-aware run loop), and the E20
 // containment metrics.
-#include "faults/fault_plan.hpp"
+#include "runtime/fault_plan.hpp"
 
 #include <gtest/gtest.h>
 

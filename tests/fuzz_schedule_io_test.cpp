@@ -229,6 +229,32 @@ TEST(ScheduleIo, MalformedInputsReportErrors) {
       {"ftcc-schedule v1\nalgo six\ngraph cycle 4294967299\nids 1 2 3\n"
        "steps 0\n",
        "bad node count"},
+      // Nor a node index alias a node in range (2^32 would cast to 0).
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 10 20 30\nsteps 1\n"
+       "sigma 4294967296\n",
+       "sigma: bad node"},
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\nsteps 0\n"
+       "crash at_step 4294967296 1\n",
+       "crash: bad number"},
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\nsteps 0\n"
+       "recover 4294967296 1 1 bottom\n",
+       "recover: bad number"},
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\nsteps 0\n"
+       "corrupt 4294967296 1 flip 0 0\n",
+       "corrupt: bad number"},
+      // Each shape line appears once; a second would silently win.
+      {"ftcc-schedule v1\nalgo six\nalgo five\ngraph cycle 3\nids 1 2 3\n"
+       "steps 0\n",
+       "algo: repeated line"},
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+       "graph cycle 4\nsteps 0\n",
+       "graph: repeated line"},
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\nids 4 5 6\n"
+       "steps 0\n",
+       "ids: repeated line"},
+      {"ftcc-schedule v1\nalgo six\ngraph cycle 3\nids 1 2 3\nwrapped 1\n"
+       "wrapped 0\nsteps 0\n",
+       "wrapped: repeated line"},
   };
   for (const auto& c : cases) {
     std::string error;

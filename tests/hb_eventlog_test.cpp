@@ -160,6 +160,31 @@ TEST(EventLogIo, RejectsMalformedInput) {
   rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
           "fault 9 stall 0\n",
           "fault node out of range");
+  // A node index past NodeId must not alias a node in range (2^32 would
+  // cast to 0).
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+          "fault 4294967296 stall 0\n",
+          "fault node past NodeId");
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+          "node 0 1\nread 0 4294967296 2 1\n",
+          "read peer past NodeId");
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+          "node 0 1\nrdto 0 4294967297\n",
+          "rdto peer past NodeId");
+  // Each shape line appears once: a second graph line used to wipe the
+  // log read so far.
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+          "node 0 1\npub 0 2 1 0 0\ngraph cycle 3\n",
+          "repeated graph line");
+  rejects("ftcc-eventlog v1\nalgo six\nalgo five\ngraph cycle 3\n"
+          "ids 1 2 3\n",
+          "repeated algo line");
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+          "ids 1 2 3\n",
+          "repeated ids line");
+  rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 3\nids 1 2 3\n"
+          "wrapped 1\nwrapped 1\n",
+          "repeated wrapped line");
   rejects(good + "mystery 1\n", "unknown directive");
   // Graphs the generators cannot build.
   rejects("ftcc-eventlog v1\nalgo six\ngraph cycle 2\nids 1 2\n",

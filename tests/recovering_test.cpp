@@ -1,7 +1,7 @@
 // The Recovering<> self-healing wrapper: checksum authentication, the
 // veil-then-adopt protocol, the bounded local reset, and end-to-end
 // executions under corruption and crash-recovery faults with the
-// fault-aware invariants armed.
+// invariant monitors armed (they see through the wrapper).
 #include "core/recovering.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "analysis/invariants.hpp"
 #include "core/algo1_six_coloring.hpp"
 #include "core/algo5_fast_six_coloring.hpp"
-#include "faults/invariants.hpp"
 #include "graph/coloring.hpp"
 #include "runtime/executor.hpp"
 #include "sched/schedulers.hpp"
@@ -140,7 +139,7 @@ TEST(RecoveringExecutor, FaultFreeRunStillTerminatesProperly) {
   const Graph g = make_cycle(8);
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     Executor<Wrapped> ex(Wrapped{}, g, random_ids(8, seed));
-    ex.add_invariant(recovering_identifier_invariant<Wrapped>());
+    ex.add_invariant(proper_identifier_invariant<Wrapped>());
     ex.add_invariant(output_properness_invariant<Wrapped>());
     SynchronousScheduler sched;
     const auto result = ex.run(sched, linear_step_budget(8) * 2);
@@ -160,7 +159,7 @@ TEST(RecoveringExecutor, SurvivesCorruptionWithInvariantsArmed) {
       plan.corrupt(v, {2 + v, CorruptionFault::Kind::overwrite, v % 5,
                        0x9e3779b97f4a7c15ULL * (seed + v + 1)});
     Executor<Wrapped> ex(Wrapped{}, g, random_ids(8, seed), plan);
-    ex.add_invariant(recovering_identifier_invariant<Wrapped>());
+    ex.add_invariant(proper_identifier_invariant<Wrapped>());
     ex.add_invariant(output_properness_invariant<Wrapped>());
     RandomSubsetScheduler sched(0.6, seed + 17);
     const auto result = ex.run(sched, linear_step_budget(8) * 4);
@@ -179,7 +178,7 @@ TEST(RecoveringExecutor, SurvivesCrashRecoveryWithStaleReplay) {
     plan.recover(4, {5, 2, RecoveredRegister::zero});
     plan.recover(6, {2, 6, RecoveredRegister::bottom});
     Executor<Wrapped> ex(Wrapped{}, g, random_ids(8, seed), plan);
-    ex.add_invariant(recovering_identifier_invariant<Wrapped>());
+    ex.add_invariant(proper_identifier_invariant<Wrapped>());
     ex.add_invariant(output_properness_invariant<Wrapped>());
     RandomSubsetScheduler sched(0.6, seed + 31);
     const auto result = ex.run(sched, linear_step_budget(8) * 4);
@@ -200,7 +199,7 @@ TEST(RecoveringExecutor, WrapsTheLogStarExtensionToo) {
     plan.recover(2, {4, 3, RecoveredRegister::stale});
     plan.corrupt(5, {3, CorruptionFault::Kind::bit_flip, 1, 13});
     Executor<WrappedFast> ex(WrappedFast{}, g, random_ids(8, seed), plan);
-    ex.add_invariant(recovering_identifier_invariant<WrappedFast>());
+    ex.add_invariant(proper_identifier_invariant<WrappedFast>());
     ex.add_invariant(output_properness_invariant<WrappedFast>());
     RandomSubsetScheduler sched(0.6, seed + 71);
     const auto result = ex.run(sched, linear_step_budget(8) * 4);

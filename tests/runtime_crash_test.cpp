@@ -1,6 +1,6 @@
 // CrashPlan semantics in isolation, plus crash/termination interplay in
 // the executor.
-#include "runtime/crash.hpp"
+#include "runtime/fault_plan.hpp"
 
 #include <gtest/gtest.h>
 

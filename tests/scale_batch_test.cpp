@@ -13,7 +13,7 @@
 #include "graph/ids.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runtime_metrics.hpp"
-#include "runtime/crash.hpp"
+#include "runtime/fault_plan.hpp"
 #include "scale/batch_executor.hpp"
 
 namespace ftcc {

@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
-#include "faults/fault_plan.hpp"
 #include "graph/graph.hpp"
 #include "graph/ids.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fault_plan.hpp"
 #include "scale/batch_campaign.hpp"
 #include "scale/batch_executor.hpp"
 #include "scale/graph_gen.hpp"

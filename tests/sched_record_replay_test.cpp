@@ -7,8 +7,8 @@
 
 #include "core/algo1_six_coloring.hpp"
 #include "core/algo3_fast_five_coloring.hpp"
-#include "faults/fault_plan.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/fault_plan.hpp"
 #include "sched/schedulers.hpp"
 
 namespace ftcc {

@@ -14,12 +14,10 @@
 // 2 = usage error.
 #include <iostream>
 #include <string>
+#include <utility>
 
-#include "core/algo1_six_coloring.hpp"
-#include "core/algo2_five_coloring.hpp"
-#include "core/algo3_fast_five_coloring.hpp"
-#include "core/algo4_general_graph.hpp"
-#include "core/algo5_fast_six_coloring.hpp"
+#include "fuzz/campaign.hpp"
+#include "fuzz/dispatch.hpp"
 #include "graph/ids.hpp"
 #include "modelcheck/explorer.hpp"
 #include "obs/runtime_metrics.hpp"
@@ -47,7 +45,7 @@ struct Request {
 /// case too) and print a one-line summary.  Returns true iff the verdict
 /// is fully green: exploration completed, wait-free, outputs proper.
 template <typename A>
-bool certify(const char* name, const Request& req,
+bool certify(A algo, const std::string& name, const Request& req,
              const obs::McMetrics* metrics) {
   ModelCheckOptions<A> opt;
   opt.mode = req.mode;
@@ -56,7 +54,7 @@ bool certify(const char* name, const Request& req,
   opt.max_fault_events = req.fault_events;
   opt.reductions = req.reductions;
   if (req.max_configs != 0) opt.max_configs = req.max_configs;
-  ModelChecker<A> mc(A{}, make_cycle(req.n), req.ids, opt);
+  ModelChecker<A> mc(std::move(algo), make_cycle(req.n), req.ids, opt);
   mc.attach_metrics(metrics);
   const ModelCheckResult r = mc.run_reduced(req.jobs);
 
@@ -179,31 +177,16 @@ int main(int argc, char** argv) {
   const obs::McMetrics metrics = obs::McMetrics::create(output.registry());
 
   const std::string algo = cli.get_string("algo");
-  bool ok = true;
-  bool known = false;
-  if (algo == "six" || algo == "all") {
-    known = true;
-    ok &= certify<SixColoring>("six", req, &metrics);
-  }
-  if (algo == "five" || algo == "all") {
-    known = true;
-    ok &= certify<FiveColoringLinear>("five", req, &metrics);
-  }
-  if (algo == "fast5" || algo == "all") {
-    known = true;
-    ok &= certify<FiveColoringFast>("fast5", req, &metrics);
-  }
-  if (algo == "delta2" || algo == "all") {
-    known = true;
-    ok &= certify<DeltaSquaredColoring>("delta2", req, &metrics);
-  }
-  if (algo == "fast6" || algo == "all") {
-    known = true;
-    ok &= certify<SixColoringFast>("fast6", req, &metrics);
-  }
-  if (!known) {
+  if (algo != "all" && !known_algorithm(algo)) {
     std::cerr << "mc: unknown --algo '" << algo << "'\n";
     return 2;
+  }
+  bool ok = true;
+  for (const std::string& name : campaign_algorithms()) {
+    if (algo != "all" && algo != name) continue;
+    ok &= with_algorithm(name, [&](auto a) {
+      return certify(std::move(a), name, req, &metrics);
+    });
   }
 
   if (!output.write({{"tool", "mc"},
